@@ -1709,13 +1709,19 @@ struct ClusterExecutor::Impl {
     }
     if (ns.offers_pending == 0) return;
     --ns.offers_pending;
-    if (m.type == MsgType::kOffer && m.arg > ns.best_count) {
+    // Never acquire work of an op this node already confirmed drained: the
+    // coordinator may terminate it on that confirmation, and activations
+    // landing here afterwards would never run. Checked when the offer is
+    // taken and again before the acquire, since the confirmation can go
+    // out while the offers are still being collected.
+    if (m.type == MsgType::kOffer && m.arg > ns.best_count &&
+        !ns.drain_acked[m.op]) {
       ns.best_count = m.arg;
       ns.best_provider = m.from;
       ns.best_op = m.op;
     }
     if (ns.offers_pending == 0) {
-      if (ns.best_provider == UINT32_MAX) {
+      if (ns.best_provider == UINT32_MAX || ns.drain_acked[ns.best_op]) {
         ns.steal_in_progress = false;
         return;
       }

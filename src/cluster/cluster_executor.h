@@ -31,6 +31,10 @@
 //                  reports the coordinator runs a drain-confirm round
 //                  (covering in-flight steals), then broadcasts
 //                  kOpTerminated, which unblocks dependent operators.
+//                  A node that has confirmed an operator drained never
+//                  acquires that operator's work again: an offer for it
+//                  is ignored, and an acquire for it is not sent, so no
+//                  stolen activation can land after its confirmation.
 //
 //   chains         a bushy plan decomposes into pipeline chains whose
 //                  build (or input) sides may be earlier chains' outputs.

@@ -677,6 +677,15 @@ void PipelineExecutor::TraceActivation(uint32_t self, uint32_t op_id,
                                           rows_out);
 }
 
+void PipelineExecutor::LabelSlot(uint32_t slot, obs::TraceEvent* ev) const {
+  const uint32_t T = options_.threads;
+  if (slot < T) {
+    ev->worker = static_cast<int32_t>(slot);
+  } else {
+    ev->guest = static_cast<int32_t>(slot - T);
+  }
+}
+
 void PipelineExecutor::EmitTraceCells() {
   Shared& sh = *shared_;
   if (sh.trace == nullptr) return;
@@ -687,7 +696,7 @@ void PipelineExecutor::EmitTraceCells() {
       if (c.empty()) continue;
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::kSpan;
-      ev.worker = static_cast<int32_t>(s);
+      LabelSlot(s, &ev);
       ev.op = static_cast<int32_t>(i);
       ev.start_ns = c.first_ns;
       ev.end_ns = c.last_ns;
@@ -770,17 +779,18 @@ bool PipelineExecutor::RunOneForeign() {
   bool ran = RunOne(slot);
   if (ran) FlushOutbox(slot);
   if (ran && sh.trace != nullptr) {
-    // Cross-query help is the session-level steal event.
+    // Cross-query help is the session-level steal event, on a guest lane.
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::kSteal;
-    ev.worker = static_cast<int32_t>(slot);
+    LabelSlot(slot, &ev);
     ev.start_ns = ev.end_ns = sh.trace->NowNs();
     ev.detail = 1;
     sh.trace->Record(slot, ev);
   }
   if (ran && options_.recorder != nullptr) {
     options_.recorder->Instant(obs::EventKind::kSteal, options_.recorder_query,
-                               1, 0, static_cast<int32_t>(slot));
+                               1, 0, -1,
+                               static_cast<int32_t>(slot - options_.threads));
   }
   {
     std::lock_guard<std::mutex> lock(sh.guest_mu);

@@ -203,6 +203,9 @@ class PipelineExecutor {
   /// Emits the accumulated span cells into the sink (every exit path of
   /// Execute, cancelled/failed runs included).
   void EmitTraceCells();
+  /// Labels an event with the slot that ran it: a rented worker's slot
+  /// (< threads) as `worker`, a guest slot as its `guest` lane.
+  void LabelSlot(uint32_t slot, obs::TraceEvent* ev) const;
   /// Abandons build-cache offers a torn-down run will never publish.
   void AbandonPendingOffers();
 

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <sstream>
+#include <utility>
 
 namespace hierdb::obs {
 
@@ -76,15 +78,29 @@ std::string ChromeTraceJson(const QueryTrace& trace) {
     if (!first) os << ",";
     first = false;
   };
-  // Process (node) and thread (worker) name metadata.
+  // Process (node) name metadata.
   for (uint32_t n = 0; n < trace.nodes; ++n) {
     sep();
     os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << n
        << ",\"tid\":0,\"args\":{\"name\":\"node " << n << "\"}}";
   }
+  // Guest lanes get their own threads after the node's workers, named
+  // once per (node, lane).
+  const int32_t guest_tid0 = static_cast<int32_t>(trace.workers_per_node);
+  std::set<std::pair<int32_t, int32_t>> guest_lanes;
+  for (const TraceEvent& e : trace.events) {
+    if (e.guest < 0 || !guest_lanes.emplace(e.node, e.guest).second) continue;
+    sep();
+    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << e.node
+       << ",\"tid\":" << guest_tid0 + e.guest
+       << ",\"args\":{\"name\":\"guest " << e.guest << "\"}}";
+  }
   for (const TraceEvent& e : trace.events) {
     sep();
-    const int32_t tid = e.worker >= 0 ? e.worker : (e.op >= 0 ? e.op : 0);
+    const int32_t tid = e.worker >= 0  ? e.worker
+                        : e.guest >= 0 ? guest_tid0 + e.guest
+                        : e.op >= 0    ? e.op
+                                       : 0;
     os << "{\"name\":" << JsonStr(EventName(trace, e)) << ",\"pid\":"
        << e.node << ",\"tid\":" << tid << ",\"ts\":" << Num(ToUs(e.start_ns));
     if (e.kind == EventKind::kSpan) {

@@ -4,8 +4,10 @@
 //                     {"traceEvents":[...]}) — loads directly in
 //                     chrome://tracing and Perfetto. Span events become
 //                     "X" (complete) events with pid = node and
-//                     tid = worker; instants become "i" events; node and
-//                     thread name metadata rows make the timeline
+//                     tid = worker; guest lane k (foreign help, see
+//                     TraceEvent) is tid workers_per_node + k, named
+//                     "guest k"; instants become "i" events; node and
+//                     guest-lane name metadata rows make the timeline
 //                     readable.
 //
 //   PlanDot           a Graphviz digraph of the compiled operator graph,

@@ -24,6 +24,12 @@ struct ThreadRingCache {
 };
 thread_local ThreadRingCache t_ring_cache;
 
+/// `worker` in the low and `guest` in the high 32 bits of one slot word.
+uint64_t PackLanes(int32_t worker, int32_t guest) {
+  return static_cast<uint64_t>(static_cast<uint32_t>(worker)) |
+         static_cast<uint64_t>(static_cast<uint32_t>(guest)) << 32;
+}
+
 }  // namespace
 
 FlightRecorder::Ring::Ring(uint32_t capacity)
@@ -83,8 +89,7 @@ void FlightRecorder::Write(Ring& r, const TraceEvent& ev) {
   s.w[0].store(static_cast<uint64_t>(ev.kind), std::memory_order_relaxed);
   s.w[1].store(static_cast<uint64_t>(static_cast<int64_t>(ev.node)),
                std::memory_order_relaxed);
-  s.w[2].store(static_cast<uint64_t>(static_cast<int64_t>(ev.worker)),
-               std::memory_order_relaxed);
+  s.w[2].store(PackLanes(ev.worker, ev.guest), std::memory_order_relaxed);
   s.w[3].store(static_cast<uint64_t>(static_cast<int64_t>(ev.op)),
                std::memory_order_relaxed);
   s.w[4].store(ev.start_ns, std::memory_order_relaxed);
@@ -114,8 +119,9 @@ std::vector<TraceEvent> FlightRecorder::Snapshot() const {
       ev.kind = static_cast<EventKind>(s.w[0].load(std::memory_order_relaxed));
       ev.node = static_cast<int32_t>(
           static_cast<int64_t>(s.w[1].load(std::memory_order_relaxed)));
-      ev.worker = static_cast<int32_t>(
-          static_cast<int64_t>(s.w[2].load(std::memory_order_relaxed)));
+      const uint64_t lanes = s.w[2].load(std::memory_order_relaxed);
+      ev.worker = static_cast<int32_t>(static_cast<uint32_t>(lanes));
+      ev.guest = static_cast<int32_t>(static_cast<uint32_t>(lanes >> 32));
       ev.op = static_cast<int32_t>(
           static_cast<int64_t>(s.w[3].load(std::memory_order_relaxed)));
       ev.start_ns = s.w[4].load(std::memory_order_relaxed);

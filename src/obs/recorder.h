@@ -92,12 +92,13 @@ class FlightRecorder {
 
   /// Convenience: an instant of `kind` stamped now.
   void Instant(EventKind kind, uint64_t query, uint64_t detail,
-               int32_t node = 0, int32_t worker = -1) {
+               int32_t node = 0, int32_t worker = -1, int32_t guest = -1) {
     if (!armed_) return;
     TraceEvent ev;
     ev.kind = kind;
     ev.node = node;
     ev.worker = worker;
+    ev.guest = guest;
     ev.start_ns = ev.end_ns = NowNs();
     ev.detail = detail;
     ev.query = query;
@@ -122,7 +123,8 @@ class FlightRecorder {
  private:
   // One seqlock slot: `seq` publishes a generation (head value + 2 of the
   // write that filled it; 0 = never written), the payload words are
-  // individually-relaxed atomics. kWords covers every TraceEvent field.
+  // individually-relaxed atomics. kWords covers every TraceEvent field;
+  // `worker` and `guest` share one word (low and high 32 bits).
   static constexpr uint32_t kWords = 11;
   struct Slot {
     std::atomic<uint64_t> seq{0};

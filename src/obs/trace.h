@@ -71,10 +71,18 @@ const char* EventKindName(EventKind k);
 /// instants (everything else) have end_ns == start_ns and use `detail`
 /// for a kind-specific payload (rows shipped, activations stolen,
 /// workers rented).
+///
+/// `worker` and `guest` say who ran the work. `worker` is one of the
+/// query's own workers, 0 <= worker < QueryTrace::workers_per_node. Work
+/// a foreign thread ran on the query's behalf (cross-query help through
+/// the pool's steal hook) belongs to no worker of this query's shape: it
+/// carries worker = -1 and guest = k, the k-th guest lane (0-based).
+/// Events that no thread of the query ran leave both at -1.
 struct TraceEvent {
   EventKind kind = EventKind::kSpan;
   int32_t node = 0;     ///< cluster node (0 on single-node backends)
   int32_t worker = -1;  ///< worker slot within the node; -1 = none
+  int32_t guest = -1;   ///< guest lane of foreign help; -1 = none
   int32_t op = -1;      ///< compiled operator id; -1 = not op-scoped
   uint64_t start_ns = 0;
   uint64_t end_ns = 0;

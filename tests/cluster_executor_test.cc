@@ -298,6 +298,35 @@ TEST(Cluster, StolenWorkIsAccounted) {
   }
 }
 
+TEST(Cluster, StealsNeverOutliveDrainConfirm) {
+  // A node that confirmed an operator drained must not acquire its work
+  // afterwards: the coordinator may terminate the operator on that
+  // confirmation, stranding the stolen activations (rows silently lost).
+  // FP on 4 x 3 starves per operator and steals often, so repeated runs
+  // hit the window between a confirmation and a late offer.
+  uint64_t steals = 0;
+  for (bool cache : {true, false}) {
+    for (uint32_t run = 0; run < 25; ++run) {
+      SCOPED_TRACE("cache=" + std::to_string(cache) +
+                   " run=" + std::to_string(run));
+      const double skew = run % 2 == 0 ? 0.0 : 0.8;
+      ChainFixture fx(4, 2, 12000, 250, skew,
+                      /*seed=*/4030 + static_cast<uint64_t>(skew * 10));
+      auto ref = ReferenceExecute(fx.query).ValueOrDie();
+      ClusterOptions o = Opts(4, 3, LocalStrategy::kFP);
+      o.cache_stolen_fragments = cache;
+      ClusterExecutor exec(o);
+      ClusterStats stats;
+      auto got = exec.Execute(fx.query, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value(), ref);
+      steals += stats.steals;
+    }
+  }
+  // Global load balancing really ran.
+  EXPECT_GT(steals, 0u);
+}
+
 // ------------------------------------------- end-detection protocol ------
 
 TEST(Cluster, TerminationMessageCountMatchesProtocol) {

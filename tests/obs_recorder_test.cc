@@ -128,6 +128,37 @@ TEST(FlightRecorder, BoundedRingOverwritesOldestAndKeepsTheRecentPast) {
   EXPECT_EQ(st.events_per_ring, 8u);
 }
 
+TEST(FlightRecorder, SnapshotRoundTripsWorkerAndGuestLanes) {
+  obs::FlightRecorder::Options o;
+  o.rings = 1;
+  obs::FlightRecorder rec(o);
+  // A worker event, a guest-lane steal, and an event owned by neither.
+  rec.Instant(obs::EventKind::kSteal, 1, 10, /*node=*/2, /*worker=*/3);
+  rec.Instant(obs::EventKind::kSteal, 2, 20, /*node=*/0, /*worker=*/-1,
+              /*guest=*/5);
+  rec.Instant(obs::EventKind::kSubmit, 3, 30);
+  std::vector<obs::TraceEvent> evs = rec.Snapshot();
+  ASSERT_EQ(evs.size(), 3u);
+  for (const obs::TraceEvent& ev : evs) {
+    switch (ev.detail) {
+      case 10:
+        EXPECT_EQ(ev.node, 2);
+        EXPECT_EQ(ev.worker, 3);
+        EXPECT_EQ(ev.guest, -1);
+        break;
+      case 20:
+        EXPECT_EQ(ev.node, 0);
+        EXPECT_EQ(ev.worker, -1);
+        EXPECT_EQ(ev.guest, 5);
+        break;
+      default:
+        EXPECT_EQ(ev.detail, 30u);
+        EXPECT_EQ(ev.worker, -1);
+        EXPECT_EQ(ev.guest, -1);
+    }
+  }
+}
+
 TEST(FlightRecorder, DisarmedRecorderCostsABranchAndYieldsNothing) {
   obs::FlightRecorder::Options o;
   o.armed = false;

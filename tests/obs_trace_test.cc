@@ -152,6 +152,87 @@ TEST(ObsTrace, EveryBackendEmitsAValidChromeTrace) {
   }
 }
 
+// Guest lanes (foreign help) export as their own named threads after the
+// node's workers, never onto a worker's timeline.
+TEST(ObsTrace, ChromeTraceGivesGuestLanesTheirOwnThreads) {
+  obs::QueryTrace t;
+  t.backend = "threads";
+  t.strategy = "DP";
+  t.workers_per_node = 4;
+  obs::TraceOp op;
+  op.label = "c0.probe0(d1)";
+  op.kind = "probe";
+  t.ops.push_back(op);
+  obs::TraceEvent worker_span;
+  worker_span.worker = 1;
+  worker_span.op = 0;
+  worker_span.start_ns = 1000;
+  worker_span.end_ns = 5000;
+  worker_span.activations = 3;
+  obs::TraceEvent guest_span = worker_span;
+  guest_span.worker = -1;
+  guest_span.guest = 2;
+  obs::TraceEvent guest_steal;
+  guest_steal.kind = obs::EventKind::kSteal;
+  guest_steal.guest = 2;
+  guest_steal.start_ns = guest_steal.end_ns = 6000;
+  guest_steal.detail = 1;
+  t.events = {worker_span, guest_span, guest_steal};
+
+  const std::string json = obs::ChromeTraceJson(t);
+  Status ok = obs::ValidateChromeTraceJson(json);
+  ASSERT_TRUE(ok.ok()) << ok.ToString() << "\n" << json;
+  // Guest lane 2 is tid 4 + 2, named once.
+  const std::string name_row =
+      "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":6,"
+      "\"args\":{\"name\":\"guest 2\"}}";
+  const size_t at = json.find(name_row);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_EQ(json.find(name_row, at + 1), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"guest 0\""), std::string::npos);
+  // The worker span stays on tid 1; both guest events land on tid 6.
+  EXPECT_NE(json.find("\"pid\":0,\"tid\":1,\"ts\":1,\"ph\":\"X\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"pid\":0,\"tid\":6,\"ts\":1,\"ph\":\"X\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"steal\",\"pid\":0,\"tid\":6"),
+            std::string::npos)
+      << json;
+}
+
+// A pool wider than the query's shape leaves idle pool threads that help
+// through the steal hook; their work must carry a guest label, never a
+// worker id outside the shape.
+TEST(ObsTrace, ForeignHelpIsLabelledAsGuestLanes) {
+  SessionOptions so;
+  so.pool_threads = 6;
+  Fixture f(20000, so);
+  constexpr uint32_t T = 2;
+  for (int q = 0; q < 5; ++q) {
+    auto r = f.db.Execute(f.Join2(), Opts(Backend::kThreads, 1, T));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(r.value().trace, nullptr);
+    const obs::QueryTrace& t = *r.value().trace;
+    EXPECT_EQ(t.workers_per_node, T);
+    CheckSpans(t);
+    for (const obs::TraceEvent& ev : t.events) {
+      if (ev.worker >= 0) {
+        EXPECT_LT(ev.worker, static_cast<int32_t>(T));
+        EXPECT_EQ(ev.guest, -1);
+      } else if (ev.kind == obs::EventKind::kSpan ||
+                 ev.kind == obs::EventKind::kSteal) {
+        // Ran by some thread but no worker of the query: a guest lane.
+        EXPECT_EQ(ev.worker, -1);
+        EXPECT_GE(ev.guest, 0);
+      }
+    }
+    Status ok = obs::ValidateChromeTraceJson(obs::ChromeTraceJson(t));
+    EXPECT_TRUE(ok.ok()) << ok.ToString();
+  }
+}
+
 TEST(ObsTrace, SimulatedSpansSumToVirtualResponse) {
   Fixture f;
   auto r = f.db.Execute(f.Join2(), Opts(Backend::kSimulated, 1, 4));
