@@ -46,6 +46,14 @@ uint64_t DoubleBits(double d) {
   return u;
 }
 
+/// Column counts of the bound tables, the input PruneColumns needs.
+std::vector<uint32_t> TableWidths(const std::vector<const mt::Table*>& tables) {
+  std::vector<uint32_t> widths;
+  widths.reserve(tables.size());
+  for (const mt::Table* t : tables) widths.push_back(t->width());
+  return widths;
+}
+
 // ---------------------------------------------------------------------
 // Cardinality estimation and trace-plan builders (shared by the report's
 // chain_cards, the traced QueryTrace plan graphs, and ExplainDot).
@@ -765,8 +773,7 @@ Status Session::PlanQuery(const Query& q, const ExecOptions& opts,
   // fold predicates before any row is scanned: an always-true predicate is
   // dropped outright, and an always-false one replaces the relation's
   // whole conjunction — one impossible compare rejects every row with no
-  // further predicate evaluation. Semantics-preserving, so it applies to
-  // the scalar and vectorized paths alike.
+  // further predicate evaluation. Semantics-preserving.
   std::vector<char> always_false(rels.size(), 0);
   for (const auto& f : q.filters_) {
     auto it = to_local.find(f.rel);
@@ -1193,7 +1200,6 @@ Status Session::PlanQuery(const Query& q, const ExecOptions& opts,
     mt::BindOptions bo;
     bo.scale = opts.bind_scale;
     bo.seed = opts.seed;
-    bo.min_rows = opts.bind_min_rows;
     bo.skew_theta = opts.skew_theta;
     auto bound = mt::BindJoinTree(out->tree, graph, out->cat, bo);
     HIERDB_RETURN_NOT_OK(bound.status());
@@ -1235,7 +1241,6 @@ Status Session::PlanQuery(const Query& q, const ExecOptions& opts,
       uint64_t seed_skew = MixU64(0xA24BAED4963EE407ULL, opts.seed);
       seed_skew = MixU64(seed_skew, DoubleBits(opts.skew_theta));
       seed_skew = MixU64(seed_skew, DoubleBits(opts.bind_scale));
-      seed_skew = MixU64(seed_skew, opts.bind_min_rows);
       out->cache_seed_skew = seed_skew;
       for (const auto& t : out->owned) {
         out->cache_ids.push_back(mt::TableContentHash(t.batch));
@@ -1537,7 +1542,6 @@ Result<QueryResult> Session::RunSimulated(
   ro.fp_error_rate = opts.fp_error_rate;
   ro.seed = opts.seed;
   ro.max_events = opts.max_events;
-  ro.timeline_bucket = opts.timeline_bucket;
   ro.stop = &stop;
   exec::RunResult rr = engine.Run(p.pplan, p.cat, ro);
   if (!rr.status.ok()) {
@@ -1633,17 +1637,12 @@ Result<QueryResult> Session::RunThreads(const Planned& p,
                                         const FaultCtx& fc) const {
   if (!p.has_real) return Status::InvalidArgument(p.real_gap);
 
-  // Column pruning rides the vectorized data plane: aggregated plans drop
-  // base-table columns nothing downstream reads (mt/prune.h). The pruned
-  // copy is local to this execution — planner estimates and traces keep
-  // reporting the original plan.
+  // Column pruning: aggregated plans drop base-table columns nothing
+  // downstream reads (mt/prune.h). The pruned copy is local to this
+  // execution — planner estimates and traces keep reporting the original
+  // plan.
   mt::PipelinePlan plan = p.mtplan;
-  if (opts.vectorized) {
-    std::vector<uint32_t> widths;
-    widths.reserve(p.tables.size());
-    for (const mt::Table* t : p.tables) widths.push_back(t->width());
-    mt::PruneColumns(&plan, widths);
-  }
+  mt::PruneColumns(&plan, TableWidths(p.tables));
 
   std::unique_ptr<ExecContext> ctx = MakeContext(opts, stop, fc.injector);
   mt::PipelineOptions po;
@@ -1651,7 +1650,6 @@ Result<QueryResult> Session::RunThreads(const Planned& p,
   po.strategy = opts.strategy;
   po.apply_h1 = opts.apply_h1;
   po.apply_h2 = opts.apply_h2;
-  po.vectorized = opts.vectorized;
   po.ctx = ctx.get();
   if (opts.reuse_builds) {
     po.build_cache = &build_cache_;
@@ -1809,16 +1807,11 @@ Result<QueryResult> Session::RunCluster(const Planned& p,
   // through one machine.
   cluster::PlanQuery query;
   query.plan = p.mtplan;
-  // Column pruning (vectorized data plane): aggregated plans ship only
-  // the columns referenced downstream over the repartition wire. Tables
-  // are partitioned below with the ORIGINAL plan's columns — partitions
-  // keep full-width rows; the executor's scans emit the projected ones.
-  if (opts.vectorized) {
-    std::vector<uint32_t> widths;
-    widths.reserve(p.tables.size());
-    for (const mt::Table* t : p.tables) widths.push_back(t->width());
-    mt::PruneColumns(&query.plan, widths);
-  }
+  // Column pruning: aggregated plans ship only the columns referenced
+  // downstream over the repartition wire. Tables are partitioned below
+  // with the ORIGINAL plan's columns — partitions keep full-width rows;
+  // the executor's scans emit the projected ones.
+  mt::PruneColumns(&query.plan, TableWidths(p.tables));
 
   // Partition each base relation by its first use in plan order: driving
   // scan inputs are placed round-robin (or with Zipf placement skew when
@@ -1864,7 +1857,6 @@ Result<QueryResult> Session::RunCluster(const Planned& p,
   co.global_lb = opts.global_lb;
   co.cache_stolen_fragments = opts.cache_stolen_fragments;
   co.serialize_chains = opts.apply_h2;
-  co.vectorized = opts.vectorized;
   if (fc.injector != nullptr) {
     // Chaos: arm fabric/node-loop injection and the detection tier
     // (heartbeats, liveness timeouts, the node-0 progress watchdog) that
@@ -1879,7 +1871,6 @@ Result<QueryResult> Session::RunCluster(const Planned& p,
   if (opts.batch_rows) co.batch_rows = opts.batch_rows;
   if (opts.queue_capacity) co.queue_capacity = opts.queue_capacity;
   if (opts.steal_batch) co.steal_batch = opts.steal_batch;
-  if (opts.min_steal) co.min_steal = opts.min_steal;
   co.recorder = recorder_.get();
   co.recorder_query = fc.query_seq;
   std::vector<std::unique_ptr<obs::RowCapture>> cap_sinks;

@@ -170,9 +170,8 @@ struct ExecOptions {
   /// execute concurrently on the same node/thread topology.
   bool apply_h2 = true;
 
-  /// kCluster steal knobs; 0 = backend default.
+  /// kCluster steal knob; 0 = backend default.
   uint32_t steal_batch = 0;  ///< max activations per acquisition
-  uint32_t min_steal = 0;    ///< provider offers only above this depth
 
   /// kCluster only: cache hash-table fragments shipped by steals (the
   /// Section 4 stolen-queue list) so repeated starving reuses them.
@@ -191,7 +190,6 @@ struct ExecOptions {
   /// Real backends only: catalog-only relations (no registered table) are
   /// synthesized at `bind_scale` of their catalog cardinality.
   double bind_scale = 0.01;
-  uint64_t bind_min_rows = 16;
 
   /// Real backends: rent workers from the session-wide pool
   /// (SessionOptions::pool_threads) instead of spawning
@@ -207,16 +205,6 @@ struct ExecOptions {
   /// scatter and inserts entirely; a miss publishes the finished tables
   /// for overlapping/later queries. Invalidated by Session::AddTable.
   bool reuse_builds = true;
-
-  /// Real backends: columnar data plane. Where predicates evaluate as
-  /// selection-vector compare loops, scatter/probe/GROUP BY hashing runs
-  /// one pass over a hash column, probes walk the hash chains with a
-  /// prefetch window (RowTable::ProbeBatch), and aggregated plans prune
-  /// base-table columns nothing downstream reads — on kCluster the
-  /// repartition wire ships only the kept columns. Off falls back to the
-  /// row-at-a-time scalar loops; results are digest-identical either way.
-  /// Ignored by kSimulated.
-  bool vectorized = true;
 
   /// Real backends: also run the single-threaded reference execution and
   /// record the comparison in the report.
@@ -283,8 +271,6 @@ struct ExecOptions {
   std::optional<sim::SystemConfig> sim_config;
   /// kSimulated: simulation-event safety valve.
   uint64_t max_events = 2'000'000'000ULL;
-  /// kSimulated: utilization-timeline bucket width (0 = off).
-  SimTime timeline_bucket = 0;
 };
 
 /// Backend-normalized execution metrics. Fields a backend cannot measure

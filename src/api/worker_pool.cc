@@ -269,10 +269,8 @@ bool WorkerPool::StealForeign(const Context* skip) {
     if (--target->hook_inflight_ == 0) hook_cv_.notify_all();
     if (ran) ++foreign_steals_;
   }
-  if (ran && recorder_ != nullptr) {
-    // detail = 1 activation ran; worker -1 (not slot-scoped).
-    recorder_->Instant(obs::EventKind::kSteal, 0, 1);
-  }
+  // The hook records the steal instant itself, tagged with its query and
+  // guest lane; the pool only counts.
   return ran;
 }
 

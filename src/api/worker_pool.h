@@ -72,8 +72,9 @@ struct PoolStats {
 class WorkerPool {
  public:
   /// `threads` == 0 is normalized to 1. `recorder`, when non-null, gets a
-  /// flight-recorder instant per rent/return/foreign-steal/worker-death
-  /// (obs/recorder.h; not owned, must outlive the pool).
+  /// flight-recorder instant per rent/return/worker-death (a foreign
+  /// steal is recorded by the steal hook, which knows its query and guest
+  /// lane; obs/recorder.h; not owned, must outlive the pool).
   explicit WorkerPool(uint32_t threads,
                       obs::FlightRecorder* recorder = nullptr);
   ~WorkerPool();  // joins; requires all rented contexts destroyed

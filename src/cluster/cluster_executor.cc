@@ -228,6 +228,9 @@ class BQueue {
 
 constexpr uint32_t kAnyOp = UINT32_MAX;
 constexpr int64_t kMorselsUnknown = -1;  // trigger source chain still running
+// A provider offers a probe operator only with at least this many queued
+// activations: stealing a lone activation costs more than it balances.
+constexpr uint64_t kMinStealDepth = 2;
 
 }  // namespace
 
@@ -542,7 +545,7 @@ struct ClusterExecutor::Impl {
     struct Scratch {
       std::vector<Batch> bucket;
       std::vector<uint32_t> hit;
-      // Vectorized data plane: selection vector, hash column and gathered
+      // Columnar kernels: selection vector, hash column and gathered
       // key column reused across activations (mt/column_batch.h kernels).
       mt::SelVec sel;
       std::vector<uint64_t> hashes;
@@ -1061,32 +1064,21 @@ struct ClusterExecutor::Impl {
         hit.erase(std::find(hit.begin(), hit.end(), bucket));
       }
     };
-    if (opt.vectorized) {
-      // Selection vector + one-pass hash column (mt/column_batch.h).
-      const size_t n = end - begin;
-      size_t m = n;
-      const uint32_t* selp = nullptr;
-      if (preds != nullptr) {
-        m = mt::FilterBatch(src, begin, n, *preds, &sc.sel);
-        ns.filtered.fetch_add(n - m, std::memory_order_relaxed);
-        selp = sc.sel.data();
-      }
-      sc.hashes.resize(m);
-      mt::HashStrided(src.data().data() + begin * src.width() + key_src,
-                      src.width(), selp, m, sc.hashes.data());
-      for (size_t i = 0; i < m; ++i) {
-        scatter(src.row(begin + (selp != nullptr ? selp[i] : i)),
-                static_cast<uint32_t>(sc.hashes[i] % B));
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t* row = src.row(i);
-        if (preds != nullptr && !mt::MatchesAll(*preds, row)) {
-          ns.filtered.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        scatter(row, static_cast<uint32_t>(mt::HashKey(row[key_src]) % B));
-      }
+    // Selection vector + one-pass hash column (mt/column_batch.h).
+    const size_t n = end - begin;
+    size_t m = n;
+    const uint32_t* selp = nullptr;
+    if (preds != nullptr) {
+      m = mt::FilterBatch(src, begin, n, *preds, &sc.sel);
+      ns.filtered.fetch_add(n - m, std::memory_order_relaxed);
+      selp = sc.sel.data();
+    }
+    sc.hashes.resize(m);
+    mt::HashStrided(src.data().data() + begin * src.width() + key_src,
+                    src.width(), selp, m, sc.hashes.data());
+    for (size_t i = 0; i < m; ++i) {
+      scatter(src.row(begin + (selp != nullptr ? selp[i] : i)),
+              static_cast<uint32_t>(sc.hashes[i] % B));
     }
     for (uint32_t bucket : hit) {
       flush(bucket, std::move(scratch[bucket]));
@@ -1231,7 +1223,7 @@ struct ClusterExecutor::Impl {
         hit.erase(std::find(hit.begin(), hit.end(), bucket));
       }
     };
-    if (opt.vectorized && act.rows.rows() > 0) {
+    if (act.rows.rows() > 0) {
       // Batched probe: gather the key column, hash it in one pass, walk
       // the chains with a prefetch window (RowTable::ProbeBatch).
       const size_t n = act.rows.rows();
@@ -1244,13 +1236,6 @@ struct ClusterExecutor::Impl {
                         [&](size_t i, const int64_t* brow) {
                           on_match(act.rows.row(i), brow);
                         });
-    } else {
-      for (size_t i = 0; i < act.rows.rows(); ++i) {
-        const int64_t* row = act.rows.row(i);
-        table->ForEachMatch(row[probe_col], [&](const int64_t* brow) {
-          on_match(row, brow);
-        });
-      }
     }
     for (uint32_t bucket : hit) {
       Route(node, t, next_op, bucket, std::move(scratch[bucket]));
@@ -1681,7 +1666,7 @@ struct ClusterExecutor::Impl {
       for (uint32_t t = 0; t < T; ++t) {
         count += ns.queues[op * T + t]->ApproxSize();
       }
-      if (count >= opt.min_steal && count > best_count) {
+      if (count >= kMinStealDepth && count > best_count) {
         best_count = count;
         best_op = op;
       }

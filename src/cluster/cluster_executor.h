@@ -146,18 +146,11 @@ struct ClusterOptions {
   bool global_lb = true;         ///< enable inter-node load sharing
   bool cache_stolen_fragments = true;  ///< Section 4 stolen-queue list
   uint32_t steal_batch = 16;     ///< max activations per acquisition
-  uint32_t min_steal = 2;        ///< provider offers only above this depth
   /// Chain scheduling (multi-chain plans): true applies the paper's H2 —
   /// chains execute back-to-back in plan order; false lets chains whose
   /// source chains have all terminated run concurrently (triggers of a
   /// chain unblock as soon as its own inputs are complete).
   bool serialize_chains = true;
-  /// Columnar data plane, mirroring mt::PipelineOptions::vectorized:
-  /// selection-vector Where evaluation, one-pass hash columns for the
-  /// scatter/repartition loops, and batched probes through
-  /// RowTable::ProbeBatch. Off falls back to the row-at-a-time loops;
-  /// results are digest-identical either way.
-  bool vectorized = true;
   /// FP only: multiplicative distortion applied to per-operator cost
   /// estimates, indexed by compiled cluster op id (see
   /// ClusterExecutor::CompiledOpCount); empty = exact estimates.

@@ -60,7 +60,6 @@ RunResult Engine::Run(const plan::PhysicalPlan& pplan,
   metrics_.op_tuples_in.assign(n_ops, 0);
   metrics_.op_end_time.assign(n_ops, 0);
   metrics_.op_busy_ns.assign(n_ops, 0.0);
-  metrics_.timeline_bucket = opts.timeline_bucket;
 
   // Ledgers for every pipelining producer (scan or non-root probe).
   ledgers_.clear();
@@ -480,15 +479,6 @@ void Engine::HandleMessage(NodeId at, Message msg) {
 
 void Engine::OnFrameStart(NodeId n, OpId op) {
   nodes_[n]->inflight[op] += 1;
-}
-
-void Engine::RecordBusy(SimTime at, SimTime busy_ns) {
-  if (metrics_.timeline_bucket <= 0) return;
-  size_t bucket = static_cast<size_t>(at / metrics_.timeline_bucket);
-  if (metrics_.busy_timeline.size() <= bucket) {
-    metrics_.busy_timeline.resize(bucket + 1, 0.0);
-  }
-  metrics_.busy_timeline[bucket] += static_cast<double>(busy_ns);
 }
 
 void Engine::OnFrameDone(NodeId n, OpId op) {

@@ -234,9 +234,6 @@ struct RunOptions {
   /// Cooperative cancellation: when set, the event loop checks it once
   /// per event batch and aborts the run with Status::Cancelled.
   const std::atomic<bool>* stop = nullptr;
-  /// When > 0, record a processor-utilization timeline with this bucket
-  /// width (virtual time).
-  SimTime timeline_bucket = 0;
 };
 
 struct RunResult {
@@ -292,9 +289,6 @@ class Engine {
   void CheckLocalEnd(NodeId n, OpId op);
   void KickAllWorkers(NodeId n);
   void RebuildActiveList(NodeId n);
-
-  /// Timeline accounting (no-op unless enabled via RunOptions).
-  void RecordBusy(SimTime at, SimTime busy_ns);
 
   // SP chain tracking.
   void SpOnTriggerDone(uint32_t chain_id);

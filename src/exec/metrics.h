@@ -56,11 +56,6 @@ struct RunMetrics {
   /// Per-operator busy time (bursts attributed to the frame's operator).
   std::vector<double> op_busy_ns;
 
-  /// Optional utilization timeline: busy processor-ns accumulated per
-  /// fixed-size virtual-time bucket (see RunOptions::timeline_bucket).
-  SimTime timeline_bucket = 0;
-  std::vector<double> busy_timeline;
-
   /// Fraction of processor-time spent idle: 1 - busy / (threads * response).
   double IdleFraction() const {
     if (response_time <= 0 || threads == 0) return 0.0;

@@ -265,7 +265,6 @@ void Worker::RunBurst(double initial_instr) {
 void Worker::FinishBurst(double instr) {
   SimTime ns = eng_->InstrNs(instr);
   busy_ns_ += ns;
-  eng_->RecordBusy(eng_->simulator().Now(), ns);
   HIERDB_CHECK(!continuation_pending_, "burst while continuation pending");
   continuation_pending_ = true;
   eng_->simulator().ScheduleAfter(ns, [this]() {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "mt/tuple.h"
-
 namespace hierdb::mt {
 
 void ColumnBatch::GatherFrom(const Batch& src, size_t begin,

@@ -1,5 +1,5 @@
 // Columnar data plane: column-major batches, selection vectors and the
-// strided kernels the vectorized execution paths run on.
+// strided kernels every real execution path runs on.
 //
 // The executors keep activations row-major (a Batch is what queues,
 // digests and the cluster wire format understand), but the hot loops —
@@ -18,9 +18,8 @@
 //     digests are computed over identical rows either way.
 //
 // Everything here is deterministic and value-identical to the scalar
-// paths: selection preserves row order, hashing is the same HashKey /
-// GroupHash mix — the vectorized executor is an A/B knob
-// (ExecOptions::vectorized), never a semantic fork.
+// definitions (MatchesAll, HashKey, GroupHash) the kernel tests check it
+// against: selection preserves row order and hashing is the same mix.
 
 #ifndef HIERDB_MT_COLUMN_BATCH_H_
 #define HIERDB_MT_COLUMN_BATCH_H_
@@ -39,7 +38,7 @@ namespace hierdb::mt {
 using SelVec = std::vector<uint32_t>;
 
 /// A column-major batch: one int64 vector per column. The gather/scatter
-/// boundary of the vectorized data plane — built from (a selection over)
+/// boundary of the columnar data plane — built from (a selection over)
 /// a row-major Batch, handed to column-at-a-time passes, transposed back
 /// with ToBatch() where a row-major consumer remains.
 class ColumnBatch {

@@ -254,7 +254,7 @@ struct PipelineExecutor::Shared {
   struct Scratch {
     std::vector<Batch> bucket;
     std::vector<uint32_t> hit;
-    // Vectorized data plane: selection vector, hash column and gathered
+    // Columnar kernels: selection vector, hash column and gathered
     // key column reused across activations (mt/column_batch.h kernels).
     SelVec sel;
     std::vector<uint64_t> hashes;
@@ -1100,15 +1100,10 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
       b.AppendRow(row);
     }
   };
-  auto passes = [&](const int64_t* row) {
-    if (preds == nullptr || MatchesAll(*preds, row)) return true;
-    sh.stat_filtered.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  };
-  // Vectorized front end shared by the branches below: one selection
-  // vector over the morsel (per-predicate compare loops), then one hash
-  // column over the survivors' key values. Leaves sc.sel/sc.hashes set;
-  // returns the survivor count.
+  // Front end shared by the branches below: one selection vector over
+  // the morsel (per-predicate compare loops), then one hash column over
+  // the survivors' key values. Leaves sc.sel/sc.hashes set; returns the
+  // survivor count.
   auto select_and_hash = [&](auto& sc, uint32_t key_col,
                              bool want_hash) -> size_t {
     const size_t n = end - begin;
@@ -1133,31 +1128,17 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
     auto& sc = sh.AcquireScratch(self, B);
     auto& scratch = sc.bucket;
     auto& hit = sc.hit;
-    if (options_.vectorized) {
-      const size_t m = select_and_hash(sc, src_col(js.build_col), true);
-      const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-      for (size_t i = 0; i < m; ++i) {
-        const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
-        uint32_t bucket = static_cast<uint32_t>(sc.hashes[i] % B);
-        Batch& b = scratch[bucket];
-        if (b.width() == 0) b = Batch(out_w);
-        if (b.empty()) hit.push_back(bucket);
-        append(b, row);
-      }
-      rows_out = m;
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t* row = src.row(i);
-        if (!passes(row)) continue;
-        uint32_t bucket =
-            static_cast<uint32_t>(HashKey(row[src_col(js.build_col)]) % B);
-        Batch& b = scratch[bucket];
-        if (b.width() == 0) b = Batch(out_w);
-        if (b.empty()) hit.push_back(bucket);
-        append(b, row);
-        ++rows_out;
-      }
+    const size_t m = select_and_hash(sc, src_col(js.build_col), true);
+    const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
+    for (size_t i = 0; i < m; ++i) {
+      const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
+      uint32_t bucket = static_cast<uint32_t>(sc.hashes[i] % B);
+      Batch& b = scratch[bucket];
+      if (b.width() == 0) b = Batch(out_w);
+      if (b.empty()) hit.push_back(bucket);
+      append(b, row);
     }
+    rows_out = m;
     for (uint32_t bucket : hit) {
       Emit(self, op_id, bucket, std::move(scratch[bucket]));
       scratch[bucket] = Batch();
@@ -1175,71 +1156,41 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
   if (chain.joins.empty()) {
     const bool final_chain = op.chain + 1 == plan.chains.size();
     const bool to_agg = final_chain && sh.agg != nullptr;
-    if (options_.vectorized) {
-      auto& sc = sh.AcquireScratch(self, B);
-      const size_t m = select_and_hash(sc, 0, false);
-      const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-      rows_out = m;
-      if (to_agg) {
-        if (capturing) {
-          // Capture points see the (projected) chain-output rows the
-          // batched accumulate below folds without per-row access.
-          std::vector<int64_t> buf;
-          for (size_t i = 0; i < m; ++i) {
-            const int64_t* row =
-                src.row(begin + (selp != nullptr ? selp[i] : i));
-            if (proj != nullptr) {
-              buf.clear();
-              for (uint32_t cc : *proj) buf.push_back(row[cc]);
-              row = buf.data();
-            }
-            sh.OfferCapture(op.chain, 0, row, out_w);
-          }
-        }
-        // Phase 1 of the two-phase aggregation, batched: one GroupHash
-        // column plus column-at-a-time key gathers; the projection (if
-        // any) maps the spec's pruned coordinates back to source ones.
-        sh.agg_partials[self].AccumulateBatch(
-            src, begin, selp, m, proj != nullptr ? proj->data() : nullptr,
-            &sc.agg);
-      } else {
+    auto& sc = sh.AcquireScratch(self, B);
+    const size_t m = select_and_hash(sc, 0, false);
+    const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
+    rows_out = m;
+    if (to_agg) {
+      if (capturing) {
+        // Capture points see the (projected) chain-output rows the
+        // batched accumulate below folds without per-row access.
         std::vector<int64_t> buf;
         for (size_t i = 0; i < m; ++i) {
-          const int64_t* row =
-              src.row(begin + (selp != nullptr ? selp[i] : i));
+          const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
           if (proj != nullptr) {
             buf.clear();
             for (uint32_t cc : *proj) buf.push_back(row[cc]);
             row = buf.data();
           }
-          if (capturing) sh.OfferCapture(op.chain, 0, row, out_w);
-          if (final_chain) sh.thread_digests[self].Add(row, out_w);
-          if (sh.materialized[op.chain]) {
-            Batch& part = sh.chain_partials[op.chain][self];
-            if (part.width() == 0) part = Batch(out_w);
-            part.AppendRow(row);
-          }
+          sh.OfferCapture(op.chain, 0, row, out_w);
         }
       }
-      sh.ReleaseScratch(self);
+      // Phase 1 of the two-phase aggregation, batched: one GroupHash
+      // column plus column-at-a-time key gathers; the projection (if
+      // any) maps the spec's pruned coordinates back to source ones.
+      sh.agg_partials[self].AccumulateBatch(
+          src, begin, selp, m, proj != nullptr ? proj->data() : nullptr,
+          &sc.agg);
     } else {
       std::vector<int64_t> buf;
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t* row = src.row(i);
-        if (!passes(row)) continue;
-        ++rows_out;
+      for (size_t i = 0; i < m; ++i) {
+        const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
         if (proj != nullptr) {
-          // The spec/digest reference projected coordinates: hand the
-          // pruned row downstream.
           buf.clear();
           for (uint32_t cc : *proj) buf.push_back(row[cc]);
           row = buf.data();
         }
         if (capturing) sh.OfferCapture(op.chain, 0, row, out_w);
-        if (to_agg) {
-          sh.agg_partials[self].Accumulate(row);
-          continue;
-        }
         if (final_chain) sh.thread_digests[self].Add(row, out_w);
         if (sh.materialized[op.chain]) {
           Batch& part = sh.chain_partials[op.chain][self];
@@ -1248,6 +1199,7 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
         }
       }
     }
+    sh.ReleaseScratch(self);
     // A join-less chain's scan is its terminal op: the passing rows are
     // the chain's actual output cardinality.
     sh.chain_rows[op.chain * sh.slots + self] += rows_out;
@@ -1274,23 +1226,13 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
       hit.erase(std::find(hit.begin(), hit.end(), bucket));
     }
   };
-  if (options_.vectorized) {
-    const size_t m = select_and_hash(sc, src_col(js.probe_col), true);
-    const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-    for (size_t i = 0; i < m; ++i) {
-      const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
-      scatter(row, static_cast<uint32_t>(sc.hashes[i] % B));
-    }
-    rows_out = m;
-  } else {
-    for (size_t i = begin; i < end; ++i) {
-      const int64_t* row = src.row(i);
-      if (!passes(row)) continue;
-      scatter(row,
-              static_cast<uint32_t>(HashKey(row[src_col(js.probe_col)]) % B));
-      ++rows_out;
-    }
+  const size_t m = select_and_hash(sc, src_col(js.probe_col), true);
+  const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
+  for (size_t i = 0; i < m; ++i) {
+    const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
+    scatter(row, static_cast<uint32_t>(sc.hashes[i] % B));
   }
+  rows_out = m;
   for (uint32_t bucket : hit) {
     Emit(self, op.consumer, bucket, std::move(scratch[bucket]));
     scratch[bucket] = Batch();
@@ -1366,7 +1308,7 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
       }
       if (part != nullptr) part->AppendRow(out_row.data());
     };
-    if (options_.vectorized && act.rows.rows() > 0) {
+    if (act.rows.rows() > 0) {
       // Batched probe: gather the key column, hash it in one pass, then
       // walk the chains with a prefetch window (RowTable::ProbeBatch).
       auto& sc = sh.AcquireScratch(self, B);
@@ -1381,13 +1323,6 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
                          on_match(act.rows.row(i), brow);
                        });
       sh.ReleaseScratch(self);
-    } else {
-      for (size_t i = 0; i < act.rows.rows(); ++i) {
-        const int64_t* row = act.rows.row(i);
-        table.ForEachMatch(row[js.probe_col], [&](const int64_t* brow) {
-          on_match(row, brow);
-        });
-      }
     }
     // The last probe is its chain's terminal op: its output rows are the
     // chain's actual cardinality (pre-aggregation on agg plans).
@@ -1425,7 +1360,7 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
       hit.erase(std::find(hit.begin(), hit.end(), bucket));
     }
   };
-  if (options_.vectorized && act.rows.rows() > 0) {
+  if (act.rows.rows() > 0) {
     const size_t n = act.rows.rows();
     sc.keys.resize(n);
     sc.hashes.resize(n);
@@ -1436,13 +1371,6 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
                      [&](size_t i, const int64_t* brow) {
                        on_match(act.rows.row(i), brow);
                      });
-  } else {
-    for (size_t i = 0; i < act.rows.rows(); ++i) {
-      const int64_t* row = act.rows.row(i);
-      table.ForEachMatch(row[js.probe_col], [&](const int64_t* brow) {
-        on_match(row, brow);
-      });
-    }
   }
   for (uint32_t bucket : hit) {
     Emit(self, op.consumer, bucket, std::move(scratch[bucket]));
@@ -1756,31 +1684,20 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
           if (begin >= build.rows()) break;
           size_t end =
               std::min<size_t>(begin + options_.morsel_rows, build.rows());
-          if (options_.vectorized) {
-            const size_t n = end - begin;
-            size_t m = n;
-            const uint32_t* selp = nullptr;
-            if (build_preds != nullptr) {
-              m = FilterBatch(build, begin, n, *build_preds, &sel);
-              filtered.fetch_add(n - m, std::memory_order_relaxed);
-              selp = sel.data();
-            }
-            hashes.resize(m);
-            HashStrided(build.data().data() + begin * build.width() + key_src,
-                        build.width(), selp, m, hashes.data());
-            for (size_t i = 0; i < m; ++i) {
-              scatter(build.row(begin + (selp != nullptr ? selp[i] : i)),
-                      static_cast<uint32_t>(hashes[i] % B));
-            }
-          } else {
-            for (size_t i = begin; i < end; ++i) {
-              const int64_t* row = build.row(i);
-              if (build_preds != nullptr && !MatchesAll(*build_preds, row)) {
-                filtered.fetch_add(1, std::memory_order_relaxed);
-                continue;
-              }
-              scatter(row, static_cast<uint32_t>(HashKey(row[key_src]) % B));
-            }
+          const size_t n = end - begin;
+          size_t m = n;
+          const uint32_t* selp = nullptr;
+          if (build_preds != nullptr) {
+            m = FilterBatch(build, begin, n, *build_preds, &sel);
+            filtered.fetch_add(n - m, std::memory_order_relaxed);
+            selp = sel.data();
+          }
+          hashes.resize(m);
+          HashStrided(build.data().data() + begin * build.width() + key_src,
+                      build.width(), selp, m, hashes.data());
+          for (size_t i = 0; i < m; ++i) {
+            scatter(build.row(begin + (selp != nullptr ? selp[i] : i)),
+                    static_cast<uint32_t>(hashes[i] % B));
           }
           for (uint32_t bucket : touched) {
             std::lock_guard<std::mutex> lock(*bucket_mu[bucket]);
@@ -1892,18 +1809,14 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
         const size_t n = end - begin;
         size_t m = n;
         const uint32_t* selp = nullptr;
-        if (options_.vectorized && input_preds != nullptr) {
+        if (input_preds != nullptr) {
           m = FilterBatch(input, begin, n, *input_preds, &sel);
           filtered.fetch_add(n - m, std::memory_order_relaxed);
           selp = sel.data();
         }
         for (size_t k = 0; k < m; ++k) {
-          const int64_t* row = input.row(begin + (selp != nullptr ? selp[k] : k));
-          if (selp == nullptr && input_preds != nullptr &&
-              !MatchesAll(*input_preds, row)) {
-            filtered.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
+          const int64_t* row =
+              input.row(begin + (selp != nullptr ? selp[k] : k));
           if (iproj != nullptr) {
             for (uint32_t cc = 0; cc < in_w; ++cc) {
               row_buf[cc] = row[(*iproj)[cc]];

@@ -45,7 +45,6 @@
 #include "common/status.h"
 #include "common/strategy.h"
 #include "mt/build_cache.h"
-#include "mt/hash_table.h"
 #include "mt/plan.h"
 #include "mt/row.h"
 #include "obs/recorder.h"
@@ -70,12 +69,6 @@ struct PipelineOptions {
   LocalStrategy strategy = LocalStrategy::kDP;
   bool apply_h1 = true;         ///< chain scan waits for its hash tables
   bool apply_h2 = true;         ///< chains execute one at a time
-  /// Columnar data plane: evaluate Where predicates as selection-vector
-  /// compare loops, batch HashKey/GroupHash computation, and probe build
-  /// tables through RowTable::ProbeBatch (mt/column_batch.h). Off falls
-  /// back to the row-at-a-time scalar loops; results are digest-identical
-  /// either way.
-  bool vectorized = true;
   /// FP only: multiplicative distortion applied to per-operator cost
   /// estimates, indexed by compiled op id; empty = exact estimates.
   std::vector<double> fp_cost_distortion;

@@ -1,10 +1,10 @@
-// Fixed-width multi-column rows for the general pipeline executor.
+// Fixed-width multi-column rows for the pipeline and cluster executors.
 //
-// The single-key Tuple of the star-join executor cannot express bushy
-// multi-join plans, where every probe joins on a different column and the
-// pipelined row widens as it flows. A Batch is a flat row-major buffer of
-// int64 columns — the unit a data activation carries (the paper increases
-// data-activation granularity by buffering; a batch is that buffer).
+// In bushy multi-join plans every probe joins on a different column and
+// the pipelined row widens as it flows. A Batch is a flat row-major buffer
+// of int64 columns — the unit a data activation carries (the paper
+// increases data-activation granularity by buffering; a batch is that
+// buffer).
 //
 // Join semantics: probe rows match build rows on one column each; the
 // output row is the concatenation (probe columns then build columns),
@@ -20,9 +20,16 @@
 
 #include "common/rng.h"
 #include "common/zipf.h"
-#include "mt/tuple.h"
 
 namespace hierdb::mt {
+
+/// 64-bit mix hash for join keys (SplitMix finalizer).
+inline uint64_t HashKey(int64_t key) {
+  uint64_t z = static_cast<uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// A row-major batch of fixed-width rows.
 class Batch {

@@ -58,122 +58,6 @@ bool Reader::GetI64(int64_t* v) {
   return true;
 }
 
-std::vector<uint8_t> EncodeTuples(const std::vector<mt::Tuple>& tuples) {
-  std::vector<uint8_t> out;
-  out.reserve(8 + tuples.size() * 16);
-  PutU64(&out, tuples.size());
-  for (const auto& t : tuples) {
-    PutI64(&out, t.key);
-    PutI64(&out, t.payload);
-  }
-  return out;
-}
-
-namespace {
-
-bool DecodeTuplesInto(Reader* r, std::vector<mt::Tuple>* out) {
-  uint64_t n;
-  if (!r->GetU64(&n)) return false;
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    mt::Tuple t;
-    if (!r->GetI64(&t.key) || !r->GetI64(&t.payload)) return false;
-    out->push_back(t);
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<std::vector<mt::Tuple>> DecodeTuples(const std::vector<uint8_t>& buf) {
-  Reader r(buf);
-  std::vector<mt::Tuple> out;
-  if (!DecodeTuplesInto(&r, &out) || !r.exhausted()) {
-    return Status::Internal("malformed tuple batch payload");
-  }
-  return out;
-}
-
-std::vector<uint8_t> EncodeFragment(const TableFragment& frag) {
-  std::vector<uint8_t> out;
-  PutU32(&out, frag.op);
-  PutU32(&out, frag.bucket);
-  PutU64(&out, frag.build_tuples.size());
-  for (const auto& t : frag.build_tuples) {
-    PutI64(&out, t.key);
-    PutI64(&out, t.payload);
-  }
-  return out;
-}
-
-namespace {
-
-bool DecodeFragmentFrom(Reader* r, TableFragment* frag) {
-  uint64_t n;
-  if (!r->GetU32(&frag->op) || !r->GetU32(&frag->bucket) || !r->GetU64(&n)) {
-    return false;
-  }
-  frag->build_tuples.clear();
-  frag->build_tuples.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    mt::Tuple t;
-    if (!r->GetI64(&t.key) || !r->GetI64(&t.payload)) return false;
-    frag->build_tuples.push_back(t);
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<TableFragment> DecodeFragment(const std::vector<uint8_t>& buf) {
-  Reader r(buf);
-  TableFragment frag;
-  if (!DecodeFragmentFrom(&r, &frag) || !r.exhausted()) {
-    return Status::Internal("malformed table fragment payload");
-  }
-  return frag;
-}
-
-std::vector<uint8_t> EncodeWork(const WorkBundle& work) {
-  std::vector<uint8_t> out = EncodeFragment(work.fragment);
-  PutU64(&out, work.probe_batches.size());
-  for (const auto& batch : work.probe_batches) {
-    PutU64(&out, batch.size());
-    for (const auto& t : batch) {
-      PutI64(&out, t.key);
-      PutI64(&out, t.payload);
-    }
-  }
-  return out;
-}
-
-Result<WorkBundle> DecodeWork(const std::vector<uint8_t>& buf) {
-  Reader r(buf);
-  WorkBundle work;
-  uint64_t batches;
-  if (!DecodeFragmentFrom(&r, &work.fragment) || !r.GetU64(&batches)) {
-    return Status::Internal("malformed work bundle payload");
-  }
-  work.probe_batches.reserve(batches);
-  for (uint64_t b = 0; b < batches; ++b) {
-    uint64_t n;
-    if (!r.GetU64(&n)) return Status::Internal("malformed work bundle batch");
-    std::vector<mt::Tuple> batch;
-    batch.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      mt::Tuple t;
-      if (!r.GetI64(&t.key) || !r.GetI64(&t.payload)) {
-        return Status::Internal("malformed work bundle tuple");
-      }
-      batch.push_back(t);
-    }
-    work.probe_batches.push_back(std::move(batch));
-  }
-  if (!r.exhausted()) return Status::Internal("trailing bytes in work bundle");
-  return work;
-}
-
 std::vector<uint8_t> EncodeBatch(const mt::Batch& batch) {
   std::vector<uint8_t> out;
   out.reserve(12 + batch.data().size() * 8);
@@ -191,6 +75,9 @@ bool DecodeBatchFrom(Reader* r, mt::Batch* out) {
   if (!r->GetU32(&width) || !r->GetU64(&n)) return false;
   if (width == 0 && n > 0) return false;
   if (width > 0 && n % width != 0) return false;
+  // The count is wire-supplied: reject it before reserving if the payload
+  // cannot hold that many values.
+  if (n > r->remaining() / sizeof(int64_t)) return false;
   *out = mt::Batch(width);
   out->data().reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

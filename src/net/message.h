@@ -48,7 +48,6 @@
 
 #include "common/status.h"
 #include "mt/row.h"
-#include "mt/tuple.h"
 
 namespace hierdb::net {
 
@@ -100,41 +99,17 @@ class Reader {
   bool GetU64(uint64_t* v);
   bool GetI64(int64_t* v);
   bool exhausted() const { return pos_ == buf_.size(); }
+  /// Bytes not yet read: bounds any element count a payload claims.
+  size_t remaining() const { return buf_.size() - pos_; }
 
  private:
   const std::vector<uint8_t>& buf_;
   size_t pos_ = 0;
 };
 
-/// Encodes a batch of tuples (a data activation's contents).
-std::vector<uint8_t> EncodeTuples(const std::vector<mt::Tuple>& tuples);
-Result<std::vector<mt::Tuple>> DecodeTuples(const std::vector<uint8_t>& buf);
-
-/// A hash-table fragment shipped with acquired probe work: the build
-/// tuples of one bucket (the requester rebuilds the table locally, which
-/// costs less than shipping pointer-linked structures).
-struct TableFragment {
-  uint32_t op = 0;      ///< the build operator the fragment came from
-  uint32_t bucket = 0;
-  std::vector<mt::Tuple> build_tuples;
-};
-
-std::vector<uint8_t> EncodeFragment(const TableFragment& frag);
-Result<TableFragment> DecodeFragment(const std::vector<uint8_t>& buf);
-
-/// Work bundle for kWork: a table fragment plus the probe activations
-/// (tuple batches) stolen from the provider's queue.
-struct WorkBundle {
-  TableFragment fragment;
-  std::vector<std::vector<mt::Tuple>> probe_batches;
-};
-
-std::vector<uint8_t> EncodeWork(const WorkBundle& work);
-Result<WorkBundle> DecodeWork(const std::vector<uint8_t>& buf);
-
 // ---------------------------------------------------------------------
-// Multi-column row payloads (used by the cluster executor, whose pipelined
-// rows widen as they flow — see mt/row.h).
+// Multi-column row payloads (the cluster executor's pipelined rows widen
+// as they flow — see mt/row.h).
 
 /// Encodes a row batch (width + flat row-major data).
 std::vector<uint8_t> EncodeBatch(const mt::Batch& batch);

@@ -1,6 +1,7 @@
 // Tests for the message substrate: codecs, mailboxes, the fabric's
 // routing/accounting, and concurrent producer/consumer behaviour.
 
+#include <string>
 #include <thread>
 
 #include "gtest/gtest.h"
@@ -10,10 +11,13 @@
 namespace hierdb::net {
 namespace {
 
-std::vector<mt::Tuple> SomeTuples(int n, int64_t base = 0) {
-  std::vector<mt::Tuple> v;
-  for (int i = 0; i < n; ++i) v.push_back({base + i, base - i});
-  return v;
+/// `rows` rows of width `width`, every value distinct and some negative.
+mt::Batch SomeRows(uint32_t rows, uint32_t width, int64_t base = 0) {
+  mt::Batch b(width);
+  for (uint32_t i = 0; i < rows * width; ++i) {
+    b.data().push_back(base + static_cast<int64_t>(i) * (i % 2 ? -1 : 1));
+  }
+  return b;
 }
 
 // ----------------------------------------------------------- codecs ------
@@ -43,72 +47,101 @@ TEST(Codec, ReaderUnderflowReturnsFalse) {
   EXPECT_FALSE(r.GetU32(&v));
 }
 
-TEST(Codec, TuplesRoundTrip) {
-  auto tuples = SomeTuples(100, -50);
-  auto decoded = DecodeTuples(EncodeTuples(tuples));
+TEST(Codec, BatchRoundTrip) {
+  mt::Batch rows = SomeRows(100, 3, -50);
+  auto decoded = DecodeBatch(EncodeBatch(rows));
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().size(), tuples.size());
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    EXPECT_EQ(decoded.value()[i].key, tuples[i].key);
-    EXPECT_EQ(decoded.value()[i].payload, tuples[i].payload);
+  EXPECT_EQ(decoded.value().width(), 3u);
+  EXPECT_EQ(decoded.value().rows(), 100u);
+  EXPECT_EQ(decoded.value().data(), rows.data());
+}
+
+TEST(Codec, EmptyBatchRoundTrips) {
+  for (uint32_t width : {0u, 4u}) {
+    auto decoded = DecodeBatch(EncodeBatch(mt::Batch(width)));
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value().width(), width);
+    EXPECT_TRUE(decoded.value().empty());
   }
 }
 
-TEST(Codec, EmptyTupleBatchRoundTrips) {
-  auto decoded = DecodeTuples(EncodeTuples({}));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded.value().empty());
-}
-
-TEST(Codec, TruncatedTuplesRejected) {
-  auto buf = EncodeTuples(SomeTuples(3));
+TEST(Codec, TruncatedBatchRejected) {
+  auto buf = EncodeBatch(SomeRows(3, 2));
   buf.resize(buf.size() - 1);
-  EXPECT_FALSE(DecodeTuples(buf).ok());
+  EXPECT_FALSE(DecodeBatch(buf).ok());
 }
 
 TEST(Codec, TrailingBytesRejected) {
-  auto buf = EncodeTuples(SomeTuples(3));
+  auto buf = EncodeBatch(SomeRows(3, 2));
   buf.push_back(0);
-  EXPECT_FALSE(DecodeTuples(buf).ok());
+  EXPECT_FALSE(DecodeBatch(buf).ok());
 }
 
-TEST(Codec, FragmentRoundTrip) {
-  TableFragment frag;
-  frag.op = 5;
-  frag.bucket = 77;
-  frag.build_tuples = SomeTuples(10, 1000);
-  auto decoded = DecodeFragment(EncodeFragment(frag));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().op, 5u);
-  EXPECT_EQ(decoded.value().bucket, 77u);
-  EXPECT_EQ(decoded.value().build_tuples.size(), 10u);
-  EXPECT_EQ(decoded.value().build_tuples[9].key, 1009);
+// The value count is read off the wire: a count the payload cannot hold
+// must come back as a typed error, never as an allocation of that size
+// (an exception on a node loop thread would terminate the process).
+TEST(Codec, ForgedValueCountRejected) {
+  std::vector<uint8_t> buf;
+  PutU32(&buf, 1);                  // width 1
+  PutU64(&buf, uint64_t{1} << 61);  // claims 2^61 values
+  PutI64(&buf, 7);                  // holds one
+  auto decoded = DecodeBatch(buf);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().ToString().find("malformed row batch payload"),
+            std::string::npos)
+      << decoded.status().ToString();
+
+  // The same forged count inside a stolen-work fragment.
+  std::vector<uint8_t> work;
+  PutU32(&work, 4);  // op
+  PutU64(&work, 1);  // one fragment
+  PutU32(&work, 9);  // its bucket
+  work.insert(work.end(), buf.begin(), buf.end());
+  PutU64(&work, 0);  // no activations
+  EXPECT_FALSE(DecodeRowWork(work).ok());
 }
 
-TEST(Codec, WorkBundleRoundTrip) {
-  WorkBundle work;
-  work.fragment.op = 3;
-  work.fragment.bucket = 9;
-  work.fragment.build_tuples = SomeTuples(4);
-  work.probe_batches.push_back(SomeTuples(2, 100));
-  work.probe_batches.push_back({});
-  work.probe_batches.push_back(SomeTuples(5, 200));
-  auto decoded = DecodeWork(EncodeWork(work));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().fragment.bucket, 9u);
-  ASSERT_EQ(decoded.value().probe_batches.size(), 3u);
-  EXPECT_EQ(decoded.value().probe_batches[0].size(), 2u);
-  EXPECT_TRUE(decoded.value().probe_batches[1].empty());
-  EXPECT_EQ(decoded.value().probe_batches[2][4].key, 204);
+RowWorkBundle SomeWork() {
+  RowWorkBundle work;
+  work.op = 3;
+  work.fragments.push_back({9, SomeRows(4, 2, 1000)});
+  work.fragments.push_back({11, mt::Batch(2)});
+  work.activations.push_back({9, SomeRows(2, 3, 100)});
+  work.activations.push_back({11, mt::Batch(3)});
+  work.activations.push_back({9, SomeRows(5, 3, 200)});
+  return work;
 }
 
-TEST(Codec, CorruptedWorkBundleRejected) {
-  WorkBundle work;
-  work.fragment.build_tuples = SomeTuples(2);
-  work.probe_batches.push_back(SomeTuples(2));
-  auto buf = EncodeWork(work);
-  buf.resize(buf.size() / 2);
-  EXPECT_FALSE(DecodeWork(buf).ok());
+TEST(Codec, RowWorkBundleRoundTrip) {
+  RowWorkBundle work = SomeWork();
+  auto decoded = DecodeRowWork(EncodeRowWork(work));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const RowWorkBundle& got = decoded.value();
+  EXPECT_EQ(got.op, 3u);
+  ASSERT_EQ(got.fragments.size(), 2u);
+  EXPECT_EQ(got.fragments[0].bucket, 9u);
+  EXPECT_EQ(got.fragments[0].build_rows.data(),
+            work.fragments[0].build_rows.data());
+  EXPECT_EQ(got.fragments[1].bucket, 11u);
+  EXPECT_TRUE(got.fragments[1].build_rows.empty());
+  EXPECT_EQ(got.fragment_rows(), 4u);
+  ASSERT_EQ(got.activations.size(), 3u);
+  EXPECT_EQ(got.activations[0].rows.rows(), 2u);
+  EXPECT_TRUE(got.activations[1].rows.empty());
+  EXPECT_EQ(got.activations[1].rows.width(), 3u);
+  EXPECT_EQ(got.activations[2].bucket, 9u);
+  EXPECT_EQ(got.activations[2].rows.data(),
+            work.activations[2].rows.data());
+}
+
+TEST(Codec, CorruptedRowWorkBundleRejected) {
+  auto buf = EncodeRowWork(SomeWork());
+  auto truncated = buf;
+  truncated.resize(buf.size() / 2);
+  EXPECT_FALSE(DecodeRowWork(truncated).ok());
+  auto trailing = buf;
+  trailing.push_back(0);
+  EXPECT_FALSE(DecodeRowWork(trailing).ok());
 }
 
 TEST(Codec, MsgTypeNamesAreDistinct) {
@@ -214,7 +247,7 @@ TEST(Fabric, AccountsBytesAndTypes) {
   Fabric fabric({.nodes = 2});
   Message m;
   m.type = MsgType::kWork;
-  m.payload = EncodeTuples(SomeTuples(10));
+  m.payload = EncodeBatch(SomeRows(10, 2));
   uint64_t expected = m.wire_bytes();
   ASSERT_TRUE(fabric.Send(0, 1, std::move(m)).ok());
   auto s = fabric.stats();

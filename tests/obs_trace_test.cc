@@ -17,6 +17,7 @@
 #include "mt/plan.h"
 #include "mt/row.h"
 #include "obs/export.h"
+#include "obs/recorder.h"
 #include "obs/trace.h"
 
 namespace hierdb::api {
@@ -204,15 +205,39 @@ TEST(ObsTrace, ChromeTraceGivesGuestLanesTheirOwnThreads) {
 
 // A pool wider than the query's shape leaves idle pool threads that help
 // through the steal hook; their work must carry a guest label, never a
-// worker id outside the shape.
+// worker id outside the shape. The flight recorder holds exactly one
+// steal instant per foreign activation the pool ran, tagged with the
+// query's seq.
 TEST(ObsTrace, ForeignHelpIsLabelledAsGuestLanes) {
   SessionOptions so;
   so.pool_threads = 6;
+  // Rings large enough that no steal instant is overwritten.
+  so.recorder_rings = 16;
+  so.recorder_ring_events = 1u << 15;
   Fixture f(20000, so);
+  obs::FlightRecorder* rec = f.db.recorder();
+  ASSERT_NE(rec, nullptr);
   constexpr uint32_t T = 2;
   for (int q = 0; q < 5; ++q) {
+    const uint64_t since_ns = rec->NowNs();
+    const uint64_t steals_before = f.db.pool_stats().foreign_steals;
     auto r = f.db.Execute(f.Join2(), Opts(Backend::kThreads, 1, T));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const uint64_t steals = f.db.pool_stats().foreign_steals - steals_before;
+    // Fewer events in the whole session than one ring holds: no ring
+    // has wrapped, so the snapshot holds every steal instant.
+    ASSERT_LT(rec->stats().recorded, rec->stats().events_per_ring);
+    ASSERT_EQ(rec->stats().dropped, 0u);
+    uint64_t seq = 0;
+    std::vector<uint64_t> steal_queries;
+    for (const obs::TraceEvent& ev : rec->Snapshot()) {
+      if (ev.start_ns < since_ns) continue;
+      if (ev.kind == obs::EventKind::kSubmit) seq = ev.query;
+      if (ev.kind == obs::EventKind::kSteal) steal_queries.push_back(ev.query);
+    }
+    ASSERT_NE(seq, 0u);
+    EXPECT_EQ(steal_queries.size(), steals);
+    for (uint64_t query : steal_queries) EXPECT_EQ(query, seq);
     ASSERT_NE(r.value().trace, nullptr);
     const obs::QueryTrace& t = *r.value().trace;
     EXPECT_EQ(t.workers_per_node, T);

@@ -1,14 +1,16 @@
 // Columnar data plane tests: the vectorized kernels against their scalar
-// definitions, and end-to-end digest parity between ExecOptions::vectorized
-// on and off across every backend and strategy — the invariant that the
-// vectorized executor is an A/B knob, never a semantic fork. Also covers
-// column-pruned cluster shipping: the same aggregated query must move
-// strictly fewer kTupleBatch bytes with pruning active.
+// definitions, and end-to-end parity of the real backends — every backend
+// x strategy matches the single-threaded reference and agrees with the
+// others on rows, checksum and filter counts. Also covers column-pruned
+// cluster shipping: an aggregated query must move strictly fewer
+// kTupleBatch bytes than the full-width join it prunes.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "api/session.h"
@@ -20,7 +22,6 @@
 #include "mt/prune.h"
 #include "mt/row.h"
 #include "mt/row_table.h"
-#include "mt/tuple.h"
 
 // ---------------------------------------------------------------------------
 // Kernel-level: strided filters, hash/gather, stats, batch accumulate.
@@ -415,7 +416,7 @@ TEST(ClusterPrune, BushyAggPlanShipsFewerRepartitionBytes) {
 }  // namespace hierdb::cluster
 
 // ---------------------------------------------------------------------------
-// Session-level: digest parity vectorized on/off on every backend.
+// Session-level: reference parity on every real backend and strategy.
 
 namespace hierdb::api {
 namespace {
@@ -440,7 +441,7 @@ struct StarFixture {
 };
 
 ExecOptions VOpts(Backend backend, Strategy strategy, uint32_t nodes,
-                  uint32_t threads, bool vectorized) {
+                  uint32_t threads) {
   ExecOptions o;
   o.backend = backend;
   o.strategy = strategy;
@@ -448,26 +449,46 @@ ExecOptions VOpts(Backend backend, Strategy strategy, uint32_t nodes,
   o.threads_per_node = threads;
   o.seed = 3;
   o.validate = true;
-  o.vectorized = vectorized;
   // Keep runs independent: a cached build skips its scatter, which would
   // legitimately zero rows_filtered for build-side predicates on reruns.
   o.reuse_builds = false;
   return o;
 }
 
-// Runs `q` with the columnar plane on and off and asserts both match the
-// single-threaded reference and each other (rows, checksum, filter counts).
-void ExpectParity(Session& db, const Query& q, Backend backend,
-                  Strategy strategy, uint32_t nodes, uint32_t threads) {
-  auto on = db.Execute(q, VOpts(backend, strategy, nodes, threads, true));
-  auto off = db.Execute(q, VOpts(backend, strategy, nodes, threads, false));
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_TRUE(on.value().reference_match);
-  EXPECT_TRUE(off.value().reference_match);
-  EXPECT_EQ(on.value().result_rows, off.value().result_rows);
-  EXPECT_EQ(on.value().result_checksum, off.value().result_checksum);
-  EXPECT_EQ(on.value().rows_filtered, off.value().rows_filtered);
+struct Shape {
+  Backend backend;
+  Strategy strategy;
+  uint32_t nodes, threads;
+};
+
+// The threads backend under every strategy plus the cluster (DP).
+const std::vector<Shape> kAllShapes = {
+    {Backend::kThreads, Strategy::kDP, 1, 4},
+    {Backend::kThreads, Strategy::kFP, 1, 4},
+    {Backend::kThreads, Strategy::kSP, 1, 4},
+    {Backend::kCluster, Strategy::kDP, 3, 2},
+};
+
+// Runs `q` on every shape and asserts each matches the single-threaded
+// reference and the first shape's rows, checksum and filter count.
+void ExpectParity(Session& db, const Query& q,
+                  const std::vector<Shape>& shapes) {
+  std::optional<ExecutionReport> first;
+  for (const Shape& sh : shapes) {
+    SCOPED_TRACE(std::string(BackendName(sh.backend)) + " " +
+                 StrategyName(sh.strategy));
+    auto r = db.Execute(q, VOpts(sh.backend, sh.strategy, sh.nodes,
+                                 sh.threads));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r.value().reference_match);
+    if (!first) {
+      first = r.value();
+      continue;
+    }
+    EXPECT_EQ(r.value().result_rows, first->result_rows);
+    EXPECT_EQ(r.value().result_checksum, first->result_checksum);
+    EXPECT_EQ(r.value().rows_filtered, first->rows_filtered);
+  }
 }
 
 TEST(VectorizedParity, FilteredJoinsOnEveryBackendAndStrategy) {
@@ -478,10 +499,7 @@ TEST(VectorizedParity, FilteredJoinsOnEveryBackendAndStrategy) {
           .Where(fx.d1, 1, CmpOp::kGe, 10)
           .Build();
   for (const Query& q : {filtered, two_join}) {
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kDP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kFP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kSP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kCluster, Strategy::kDP, 3, 2);
+    ExpectParity(fx.db, q, kAllShapes);
   }
 }
 
@@ -499,10 +517,7 @@ TEST(VectorizedParity, GroupByHavingAndGlobalAggregate) {
                         .Build();
   Query global = fx.Joined().Count().Agg(AggFn::kSum, fx.d2, 1).Build();
   for (const Query& q : {reporting, global}) {
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kDP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kFP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kSP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kCluster, Strategy::kDP, 3, 2);
+    ExpectParity(fx.db, q, kAllShapes);
   }
 }
 
@@ -521,21 +536,22 @@ TEST(VectorizedParity, SkewedKeysKeepDigestParity) {
                   .Agg(AggFn::kSum, fact, 0)
                   .Build();
   for (const Query& q : {join, agg}) {
-    ExpectParity(db, q, Backend::kThreads, Strategy::kDP, 1, 4);
-    ExpectParity(db, q, Backend::kCluster, Strategy::kDP, 2, 2);
+    ExpectParity(db, q,
+                 {{Backend::kThreads, Strategy::kDP, 1, 4},
+                  {Backend::kCluster, Strategy::kDP, 2, 2}});
   }
 }
 
 TEST(VectorizedParity, EmptyAndAllPassSelections) {
   StarFixture fx(5000);
+  const std::vector<Shape> shapes = {{Backend::kThreads, Strategy::kDP, 1, 4},
+                                     {Backend::kCluster, Strategy::kDP, 2, 2}};
   // Always-false predicate: the planner's min/max fold keeps one residual
   // predicate, the scan's selection vectors come out empty, and every
   // backend agrees on zero rows.
   Query none = fx.Joined().Where(fx.fact, 0, CmpOp::kLt, 0).Build();
-  ExpectParity(fx.db, none, Backend::kThreads, Strategy::kDP, 1, 4);
-  ExpectParity(fx.db, none, Backend::kCluster, Strategy::kDP, 2, 2);
-  auto r = fx.db.Execute(none, VOpts(Backend::kThreads, Strategy::kDP, 1, 4,
-                                     true));
+  ExpectParity(fx.db, none, shapes);
+  auto r = fx.db.Execute(none, VOpts(Backend::kThreads, Strategy::kDP, 1, 4));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().result_rows, 0u);
   EXPECT_EQ(r.value().rows_filtered, 5000u);
@@ -543,13 +559,12 @@ TEST(VectorizedParity, EmptyAndAllPassSelections) {
   // Always-true predicate: folded away pre-scan — nothing is filtered and
   // the digest matches the unfiltered query.
   Query all = fx.Joined().Where(fx.fact, 1, CmpOp::kGe, 0).Build();
-  ExpectParity(fx.db, all, Backend::kThreads, Strategy::kDP, 1, 4);
-  auto a =
-      fx.db.Execute(all, VOpts(Backend::kThreads, Strategy::kDP, 1, 4, true));
-  auto plain = fx.db.Execute(
-      fx.Joined().Build(), VOpts(Backend::kThreads, Strategy::kDP, 1, 4, true));
+  auto a = fx.db.Execute(all, VOpts(Backend::kThreads, Strategy::kDP, 1, 4));
+  auto plain = fx.db.Execute(fx.Joined().Build(),
+                             VOpts(Backend::kThreads, Strategy::kDP, 1, 4));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(plain.ok());
+  EXPECT_TRUE(a.value().reference_match);
   EXPECT_EQ(a.value().rows_filtered, 0u);
   EXPECT_EQ(a.value().result_checksum, plain.value().result_checksum);
 }
@@ -573,41 +588,27 @@ TEST(PlannerStats, TableStatsExposedAtAddTable) {
 
 TEST(ClusterShipping, ColumnPrunedRepartitionShipsFewerBytes) {
   // GROUP BY d1.attr COUNT over fact ⋈ d1: only fact col 1 is referenced
-  // downstream, so the vectorized run ships 1-wide fact rows where the
-  // scalar run ships all 4 columns.
+  // downstream, so the aggregated run ships 1-wide fact rows where the
+  // same join without aggregation (which pruning leaves full-width) ships
+  // all 4 columns.
   StarFixture fx(20000);
-  Query q = fx.db.NewQuery()
-                .Scan(fx.fact)
-                .Probe(fx.d1, 1, 0)
-                .GroupBy(fx.d1, 1)
-                .Count()
-                .Build();
-  auto on =
-      fx.db.Execute(q, VOpts(Backend::kCluster, Strategy::kDP, 3, 2, true));
-  auto off =
-      fx.db.Execute(q, VOpts(Backend::kCluster, Strategy::kDP, 3, 2, false));
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_TRUE(on.value().reference_match);
-  EXPECT_TRUE(off.value().reference_match);
-  EXPECT_EQ(on.value().result_rows, off.value().result_rows);
-  EXPECT_EQ(on.value().result_checksum, off.value().result_checksum);
-  EXPECT_GT(on.value().pipeline_bytes, 0u);
-  EXPECT_LT(on.value().pipeline_bytes, off.value().pipeline_bytes);
-}
-
-TEST(SimulatedBackend, VectorizedFlagIsIgnored) {
-  StarFixture fx(2000);
-  Query q = fx.Joined().Build();
-  ExecOptions on = VOpts(Backend::kSimulated, Strategy::kDP, 2, 2, true);
-  ExecOptions off = VOpts(Backend::kSimulated, Strategy::kDP, 2, 2, false);
-  on.validate = off.validate = false;
-  auto a = fx.db.Execute(q, on);
-  auto b = fx.db.Execute(q, off);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  // The simulation is deterministic; the knob must not perturb it.
-  EXPECT_EQ(a.value().response_ms, b.value().response_ms);
+  Query join = fx.db.NewQuery().Scan(fx.fact).Probe(fx.d1, 1, 0).Build();
+  Query grouped = fx.db.NewQuery()
+                      .Scan(fx.fact)
+                      .Probe(fx.d1, 1, 0)
+                      .GroupBy(fx.d1, 1)
+                      .Count()
+                      .Build();
+  auto full =
+      fx.db.Execute(join, VOpts(Backend::kCluster, Strategy::kDP, 3, 2));
+  auto pruned =
+      fx.db.Execute(grouped, VOpts(Backend::kCluster, Strategy::kDP, 3, 2));
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_TRUE(full.value().reference_match);
+  EXPECT_TRUE(pruned.value().reference_match);
+  EXPECT_GT(pruned.value().pipeline_bytes, 0u);
+  EXPECT_LT(pruned.value().pipeline_bytes, full.value().pipeline_bytes);
 }
 
 }  // namespace
