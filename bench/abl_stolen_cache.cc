@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
     fact_parts.parts[0].AppendRow(fact.batch.row(i));
   }
   PartitionedTable dim_parts = PartitionByHash(dim, nodes, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q;  // fact (table 0) probes dim (table 1) on fact column 1
+  q.tables = {&fact_parts, &dim_parts};
+  q.plan = mt::MakeRightDeepPlan(0, {1}, {1});
   auto ref = ReferenceExecute(q).ValueOrDie();
 
   std::printf("%-10s %9s %12s %10s %12s %12s\n", "cache", "wall(s)",

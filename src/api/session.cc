@@ -1630,6 +1630,168 @@ Result<QueryResult> Session::RunSimulated(
   return qr;
 }
 
+// The per-run glue both real-data backends share: capture sinks, the FP
+// cost distortion draw, the pool/schedule/fault trace instants around the
+// execution, the cancelled status, chain cards, captures, trace,
+// validation against the reference and the materialize fields.
+struct Session::RealRun {
+  using TraceOpsFn = std::vector<obs::TraceOp> (*)(
+      const mt::PipelinePlan&, const std::vector<double>&,
+      const std::vector<const mt::Table*>&, const catalog::Catalog&,
+      const std::vector<double>&, const std::vector<uint64_t>&);
+
+  RealRun(const Session& s, const Planned& planned, const ExecOptions& o,
+          const FaultCtx& f)
+      : session(s), p(planned), opts(o), fc(f) {}
+
+  const Session& session;
+  const Planned& p;
+  const ExecOptions& opts;
+  const FaultCtx& fc;
+  obs::TraceSink sink;
+  std::vector<std::unique_ptr<obs::RowCapture>> cap_sinks;
+  // Set by Report: per-chain row estimates and actuals, and the answer.
+  std::vector<double> est;
+  const std::vector<uint64_t>* rows_per_chain = nullptr;
+  mt::ResultDigest got;
+  uint64_t faults_before = 0;
+  std::chrono::steady_clock::time_point t0;
+  QueryResult qr;
+
+  /// New `sinks` for the plan's capture points, in executor form.
+  std::vector<mt::CaptureSink> Captures(
+      std::vector<std::unique_ptr<obs::RowCapture>>* sinks) const {
+    std::vector<mt::CaptureSink> out;
+    sinks->reserve(p.captures.size());
+    for (const auto& cs : p.captures) {
+      sinks->push_back(std::make_unique<obs::RowCapture>(
+          session.session_options_.capture_rows));
+      out.push_back({cs.chain, cs.point, sinks->back().get()});
+    }
+    return out;
+  }
+  /// FP cost-model error: one distortion factor per compiled operator
+  /// (empty unless FP runs with an error rate).
+  std::vector<double> FpDistortion(uint32_t ops) const {
+    std::vector<double> d;
+    if (opts.strategy != Strategy::kFP || opts.fp_error_rate <= 0) return d;
+    Rng rng(opts.seed ^ 0x9E3779B97F4A7C15ULL);
+    d.resize(ops);
+    for (double& x : d) {
+      x = 1.0 + opts.fp_error_rate * (2.0 * rng.NextDouble() - 1.0);
+    }
+    return d;
+  }
+  obs::TraceSink* trace() { return opts.trace ? &sink : nullptr; }
+  void Instant(obs::EventKind kind, uint64_t detail) {
+    obs::TraceEvent ev;
+    ev.kind = kind;
+    ev.start_ns = ev.end_ns = sink.NowNs();
+    ev.detail = detail;
+    sink.RecordShared(ev);
+  }
+  /// Marks the start of the execution (pool rent and admission wait).
+  void Begin(double queue_wait_ms) {
+    if (opts.trace) {
+      Instant(obs::EventKind::kPoolRent, opts.use_shared_pool ? 1 : 0);
+      Instant(obs::EventKind::kSchedule,
+              static_cast<uint64_t>(queue_wait_ms * 1e6));
+    }
+    faults_before =
+        fc.injector != nullptr ? fc.injector->counters().total() : 0;
+    t0 = std::chrono::steady_clock::now();
+  }
+  /// Marks the end of the execution; returns its wall seconds.
+  double End() {
+    const double wall = WallSince(t0);
+    if (opts.trace) {
+      Instant(obs::EventKind::kPoolReturn, opts.use_shared_pool ? 1 : 0);
+      RecordFaultInstants(sink, fc.injector, fc.attempt, fc.fallback,
+                          faults_before);
+    }
+    return wall;
+  }
+  /// A failed execution's status; a cancelled one carries its progress.
+  static Status Failed(const Status& st, uint64_t acts, uint64_t filtered) {
+    if (st.code() != StatusCode::kCancelled) return st;
+    return Status::Cancelled(st.message() + " [partial: acts=" +
+                             std::to_string(acts) + " filtered=" +
+                             std::to_string(filtered) + "]");
+  }
+  /// The report fields both backends fill the same way.
+  ExecutionReport Report(Backend backend, double wall,
+                         const mt::ResultDigest& answer,
+                         uint64_t rows_filtered, uint64_t agg_groups,
+                         uint64_t agg_partials,
+                         const std::vector<uint64_t>& actual_rows) {
+    got = answer;
+    rows_per_chain = &actual_rows;
+    ExecutionReport rep;
+    rep.backend = backend;
+    rep.strategy = opts.strategy;
+    rep.wall_seconds = wall;
+    rep.response_ms = wall * 1000.0;
+    rep.has_result = true;
+    rep.result_rows = got.count;
+    rep.result_checksum = got.checksum;
+    rep.rows_filtered = rows_filtered;
+    rep.aggregated = p.has_agg;
+    rep.agg_groups = agg_groups;
+    rep.agg_partials = agg_partials;
+    rep.rows_prefiltered = p.prefiltered_rows;
+    est = EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
+    rep.chain_cards = MakeChainCards(est, rows_per_chain);
+    for (size_t i = 0; i < cap_sinks.size(); ++i) {
+      rep.captures.push_back(cap_sinks[i]->Take(
+          p.captures[i].name, p.captures[i].chain, p.captures[i].point));
+    }
+    return rep;
+  }
+  /// Attaches the trace (when on), validates against the reference (when
+  /// asked; `reference(captures)` runs it) and fills the materialize
+  /// fields.
+  template <typename Reference>
+  Result<QueryResult> Finish(ExecutionReport rep, const char* backend,
+                             uint32_t nodes, uint32_t workers,
+                             TraceOpsFn trace_ops, Reference&& reference) {
+    if (opts.trace) {
+      auto qt = std::make_shared<obs::QueryTrace>();
+      qt->backend = backend;
+      qt->strategy = StrategyName(opts.strategy);
+      qt->response_ms = rep.response_ms;
+      qt->nodes = nodes;
+      qt->workers_per_node = workers;
+      qt->ops = trace_ops(p.mtplan, p.filter_pass, p.tables, p.cat, est,
+                          *rows_per_chain);
+      qt->chains = rep.chain_cards;
+      qt->events = sink.Drain();
+      rep.trace = std::move(qt);
+    }
+    if (opts.validate) {
+      std::vector<std::unique_ptr<obs::RowCapture>> ref_sinks;
+      auto ref = reference(Captures(&ref_sinks));
+      HIERDB_RETURN_NOT_OK(ref.status());
+      rep.validated = true;
+      rep.reference_rows = ref.value().count;
+      rep.reference_match = ref.value() == got;
+      rep.captures_match = true;
+      for (size_t i = 0; i < ref_sinks.size(); ++i) {
+        obs::CaptureResult rc = ref_sinks[i]->Take(
+            p.captures[i].name, p.captures[i].chain, p.captures[i].point);
+        if (!rep.captures[i].SameRows(rc)) rep.captures_match = false;
+      }
+    }
+    if (opts.materialize) {
+      qr.materialized = true;
+      rep.materialized = true;
+      rep.materialized_rows = qr.rows.rows();
+      rep.materialized_bytes = qr.rows.bytes();
+    }
+    qr.report = std::move(rep);
+    return std::move(qr);
+  }
+};
+
 Result<QueryResult> Session::RunThreads(const Planned& p,
                                         const ExecOptions& opts,
                                         double queue_wait_ms,
@@ -1644,6 +1806,7 @@ Result<QueryResult> Session::RunThreads(const Planned& p,
   mt::PipelinePlan plan = p.mtplan;
   mt::PruneColumns(&plan, TableWidths(p.tables));
 
+  RealRun run(*this, p, opts, fc);
   std::unique_ptr<ExecContext> ctx = MakeContext(opts, stop, fc.injector);
   mt::PipelineOptions po;
   po.threads = opts.threads_per_node;
@@ -1662,133 +1825,36 @@ Result<QueryResult> Session::RunThreads(const Planned& p,
   if (opts.queue_capacity) po.queue_capacity = opts.queue_capacity;
   po.recorder = recorder_.get();
   po.recorder_query = fc.query_seq;
-  std::vector<std::unique_ptr<obs::RowCapture>> cap_sinks;
-  cap_sinks.reserve(p.captures.size());
-  for (const auto& cs : p.captures) {
-    cap_sinks.push_back(
-        std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-    po.captures.push_back({cs.chain, cs.point, cap_sinks.back().get()});
-  }
-  if (opts.strategy == Strategy::kFP && opts.fp_error_rate > 0) {
-    uint32_t ops = mt::PipelineExecutor::CompiledOpCount(plan);
-    Rng rng(opts.seed ^ 0x9E3779B97F4A7C15ULL);
-    po.fp_cost_distortion.resize(ops);
-    for (double& d : po.fp_cost_distortion) {
-      d = 1.0 + opts.fp_error_rate * (2.0 * rng.NextDouble() - 1.0);
-    }
-  }
-
-  obs::TraceSink sink;
-  if (opts.trace) {
-    po.trace = &sink;
-    obs::TraceEvent rent;
-    rent.kind = obs::EventKind::kPoolRent;
-    rent.start_ns = rent.end_ns = sink.NowNs();
-    rent.detail = opts.use_shared_pool ? 1 : 0;
-    sink.RecordShared(rent);
-    obs::TraceEvent sched;
-    sched.kind = obs::EventKind::kSchedule;
-    sched.start_ns = sched.end_ns = sink.NowNs();
-    sched.detail = static_cast<uint64_t>(queue_wait_ms * 1e6);
-    sink.RecordShared(sched);
-  }
+  po.captures = run.Captures(&run.cap_sinks);
+  po.fp_cost_distortion =
+      run.FpDistortion(mt::PipelineExecutor::CompiledOpCount(plan));
+  po.trace = run.trace();
 
   mt::PipelineExecutor executor(po);
   mt::PipelineStats stats;
-  QueryResult qr;
-  const uint64_t faults_before =
-      fc.injector != nullptr ? fc.injector->counters().total() : 0;
-  auto t0 = std::chrono::steady_clock::now();
+  run.Begin(queue_wait_ms);
   auto got = executor.Execute(plan, p.tables, &stats,
-                              opts.materialize ? &qr.rows : nullptr);
-  double wall = WallSince(t0);
-  if (opts.trace) {
-    obs::TraceEvent ret;
-    ret.kind = obs::EventKind::kPoolReturn;
-    ret.start_ns = ret.end_ns = sink.NowNs();
-    ret.detail = opts.use_shared_pool ? 1 : 0;
-    sink.RecordShared(ret);
-    RecordFaultInstants(sink, fc.injector, fc.attempt, fc.fallback,
-                        faults_before);
-  }
+                              opts.materialize ? &run.qr.rows : nullptr);
+  const double wall = run.End();
   if (!got.ok()) {
-    if (got.status().code() == StatusCode::kCancelled) {
-      return Status::Cancelled(
-          got.status().message() + " [partial: acts=" +
-          std::to_string(stats.morsels + stats.data_activations) +
-          " filtered=" + std::to_string(stats.rows_filtered) + "]");
-    }
-    return got.status();
+    return RealRun::Failed(got.status(), stats.morsels + stats.data_activations,
+                           stats.rows_filtered);
   }
 
-  ExecutionReport rep;
-  rep.backend = Backend::kThreads;
-  rep.strategy = opts.strategy;
-  rep.wall_seconds = wall;
-  rep.response_ms = wall * 1000.0;
+  ExecutionReport rep =
+      run.Report(Backend::kThreads, wall, got.value(), stats.rows_filtered,
+                 stats.agg_groups, stats.agg_partials, stats.rows_per_chain);
   rep.activations = stats.morsels + stats.data_activations;
-  rep.has_result = true;
-  rep.result_rows = got.value().count;
-  rep.result_checksum = got.value().checksum;
   rep.idle_waits = stats.idle_waits;
   rep.stolen_activations = stats.nonprimary;
   rep.imbalance = stats.Imbalance();
   rep.build_cache_hits = stats.build_cache_hits;
   rep.build_cache_misses = stats.build_cache_misses;
-  rep.rows_filtered = stats.rows_filtered;
-  rep.aggregated = p.has_agg;
-  rep.agg_groups = stats.agg_groups;
-  rep.agg_partials = stats.agg_partials;
   rep.threads = stats;
-  rep.rows_prefiltered = p.prefiltered_rows;
-  std::vector<double> est = EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
-  rep.chain_cards = MakeChainCards(est, &stats.rows_per_chain);
-  for (size_t i = 0; i < cap_sinks.size(); ++i) {
-    rep.captures.push_back(cap_sinks[i]->Take(
-        p.captures[i].name, p.captures[i].chain, p.captures[i].point));
-  }
-  if (opts.trace) {
-    auto qt = std::make_shared<obs::QueryTrace>();
-    qt->backend = "threads";
-    qt->strategy = StrategyName(opts.strategy);
-    qt->response_ms = rep.response_ms;
-    qt->nodes = 1;
-    qt->workers_per_node = po.threads;
-    qt->ops = ThreadsTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est,
-                              stats.rows_per_chain);
-    qt->chains = rep.chain_cards;
-    qt->events = sink.Drain();
-    rep.trace = std::move(qt);
-  }
-  if (opts.validate) {
-    std::vector<std::unique_ptr<obs::RowCapture>> ref_sinks;
-    std::vector<mt::CaptureSink> ref_caps;
-    ref_sinks.reserve(p.captures.size());
-    for (const auto& cs : p.captures) {
-      ref_sinks.push_back(
-          std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-      ref_caps.push_back({cs.chain, cs.point, ref_sinks.back().get()});
-    }
-    auto ref = mt::ReferenceExecute(plan, p.tables, ref_caps);
-    HIERDB_RETURN_NOT_OK(ref.status());
-    rep.validated = true;
-    rep.reference_rows = ref.value().count;
-    rep.reference_match = ref.value() == got.value();
-    rep.captures_match = true;
-    for (size_t i = 0; i < ref_sinks.size(); ++i) {
-      obs::CaptureResult rc = ref_sinks[i]->Take(
-          p.captures[i].name, p.captures[i].chain, p.captures[i].point);
-      if (!rep.captures[i].SameRows(rc)) rep.captures_match = false;
-    }
-  }
-  if (opts.materialize) {
-    qr.materialized = true;
-    rep.materialized = true;
-    rep.materialized_rows = qr.rows.rows();
-    rep.materialized_bytes = qr.rows.bytes();
-  }
-  qr.report = std::move(rep);
-  return qr;
+  return run.Finish(std::move(rep), "threads", 1, po.threads, ThreadsTraceOps,
+                    [&](const std::vector<mt::CaptureSink>& caps) {
+                      return mt::ReferenceExecute(plan, p.tables, caps);
+                    });
 }
 
 Result<QueryResult> Session::RunCluster(const Planned& p,
@@ -1849,6 +1915,7 @@ Result<QueryResult> Session::RunCluster(const Planned& p,
   for (const auto& pt : parts) query.tables.push_back(&pt);
   HIERDB_RETURN_NOT_OK(query.Validate(opts.nodes));
 
+  RealRun run(*this, p, opts, fc);
   cluster::ClusterOptions co;
   co.nodes = opts.nodes;
   co.threads_per_node = opts.threads_per_node;
@@ -1873,74 +1940,27 @@ Result<QueryResult> Session::RunCluster(const Planned& p,
   if (opts.steal_batch) co.steal_batch = opts.steal_batch;
   co.recorder = recorder_.get();
   co.recorder_query = fc.query_seq;
-  std::vector<std::unique_ptr<obs::RowCapture>> cap_sinks;
-  cap_sinks.reserve(p.captures.size());
-  for (const auto& cs : p.captures) {
-    cap_sinks.push_back(
-        std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-    co.captures.push_back({cs.chain, cs.point, cap_sinks.back().get()});
-  }
-  if (opts.strategy == Strategy::kFP && opts.fp_error_rate > 0) {
-    uint32_t ops = cluster::ClusterExecutor::CompiledOpCount(query);
-    Rng rng(opts.seed ^ 0x9E3779B97F4A7C15ULL);
-    co.fp_cost_distortion.resize(ops);
-    for (double& d : co.fp_cost_distortion) {
-      d = 1.0 + opts.fp_error_rate * (2.0 * rng.NextDouble() - 1.0);
-    }
-  }
-
-  obs::TraceSink sink;
-  if (opts.trace) {
-    co.trace = &sink;
-    obs::TraceEvent rent;
-    rent.kind = obs::EventKind::kPoolRent;
-    rent.start_ns = rent.end_ns = sink.NowNs();
-    rent.detail = opts.use_shared_pool ? 1 : 0;
-    sink.RecordShared(rent);
-    obs::TraceEvent sched;
-    sched.kind = obs::EventKind::kSchedule;
-    sched.start_ns = sched.end_ns = sink.NowNs();
-    sched.detail = static_cast<uint64_t>(queue_wait_ms * 1e6);
-    sink.RecordShared(sched);
-  }
+  co.captures = run.Captures(&run.cap_sinks);
+  co.fp_cost_distortion =
+      run.FpDistortion(cluster::ClusterExecutor::CompiledOpCount(query));
+  co.trace = run.trace();
 
   cluster::ClusterExecutor executor(co);
   cluster::ClusterStats stats;
-  QueryResult qr;
-  const uint64_t faults_before =
-      fc.injector != nullptr ? fc.injector->counters().total() : 0;
-  auto t0 = std::chrono::steady_clock::now();
+  run.Begin(queue_wait_ms);
   auto got = executor.Execute(query, &stats,
-                              opts.materialize ? &qr.rows : nullptr);
-  double wall = WallSince(t0);
-  if (opts.trace) {
-    obs::TraceEvent ret;
-    ret.kind = obs::EventKind::kPoolReturn;
-    ret.start_ns = ret.end_ns = sink.NowNs();
-    ret.detail = opts.use_shared_pool ? 1 : 0;
-    sink.RecordShared(ret);
-    RecordFaultInstants(sink, fc.injector, fc.attempt, fc.fallback,
-                        faults_before);
-  }
+                              opts.materialize ? &run.qr.rows : nullptr);
+  const double wall = run.End();
+  uint64_t acts = 0;
+  for (uint64_t b : stats.busy_per_node) acts += b;
   if (!got.ok()) {
-    if (got.status().code() == StatusCode::kCancelled) {
-      uint64_t acts = 0;
-      for (uint64_t b : stats.busy_per_node) acts += b;
-      return Status::Cancelled(
-          got.status().message() + " [partial: acts=" + std::to_string(acts) +
-          " filtered=" + std::to_string(stats.rows_filtered) + "]");
-    }
-    return got.status();
+    return RealRun::Failed(got.status(), acts, stats.rows_filtered);
   }
 
-  ExecutionReport rep;
-  rep.backend = Backend::kCluster;
-  rep.strategy = opts.strategy;
-  rep.wall_seconds = wall;
-  rep.response_ms = wall * 1000.0;
-  rep.has_result = true;
-  rep.result_rows = got.value().count;
-  rep.result_checksum = got.value().checksum;
+  ExecutionReport rep =
+      run.Report(Backend::kCluster, wall, got.value(), stats.rows_filtered,
+                 stats.agg_groups, stats.agg_partials, stats.rows_per_chain);
+  rep.activations = acts;
   rep.pipeline_bytes = stats.dataflow_bytes;
   rep.lb_bytes = stats.lb_bytes;
   rep.steals = stats.steals;
@@ -1948,63 +1968,14 @@ Result<QueryResult> Session::RunCluster(const Planned& p,
   rep.intermediate_rows = stats.intermediate_rows;
   rep.intermediate_bytes = stats.intermediate_bytes;
   for (uint64_t w : stats.idle_waits_per_node) rep.idle_waits += w;
-  for (uint64_t b : stats.busy_per_node) rep.activations += b;
   rep.imbalance = stats.NodeImbalance();
-  rep.rows_filtered = stats.rows_filtered;
-  rep.aggregated = p.has_agg;
-  rep.agg_groups = stats.agg_groups;
-  rep.agg_partials = stats.agg_partials;
   rep.agg_repartition_bytes = stats.agg_repartition_bytes;
   rep.cluster = stats;
-  rep.rows_prefiltered = p.prefiltered_rows;
-  std::vector<double> est = EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
-  rep.chain_cards = MakeChainCards(est, &stats.rows_per_chain);
-  for (size_t i = 0; i < cap_sinks.size(); ++i) {
-    rep.captures.push_back(cap_sinks[i]->Take(
-        p.captures[i].name, p.captures[i].chain, p.captures[i].point));
-  }
-  if (opts.trace) {
-    auto qt = std::make_shared<obs::QueryTrace>();
-    qt->backend = "cluster";
-    qt->strategy = StrategyName(opts.strategy);
-    qt->response_ms = rep.response_ms;
-    qt->nodes = co.nodes;
-    qt->workers_per_node = co.threads_per_node;
-    qt->ops = ClusterTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est,
-                              stats.rows_per_chain);
-    qt->chains = rep.chain_cards;
-    qt->events = sink.Drain();
-    rep.trace = std::move(qt);
-  }
-  if (opts.validate) {
-    std::vector<std::unique_ptr<obs::RowCapture>> ref_sinks;
-    std::vector<mt::CaptureSink> ref_caps;
-    ref_sinks.reserve(p.captures.size());
-    for (const auto& cs : p.captures) {
-      ref_sinks.push_back(
-          std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-      ref_caps.push_back({cs.chain, cs.point, ref_sinks.back().get()});
-    }
-    auto ref = cluster::ReferenceExecute(query, ref_caps);
-    HIERDB_RETURN_NOT_OK(ref.status());
-    rep.validated = true;
-    rep.reference_rows = ref.value().count;
-    rep.reference_match = ref.value() == got.value();
-    rep.captures_match = true;
-    for (size_t i = 0; i < ref_sinks.size(); ++i) {
-      obs::CaptureResult rc = ref_sinks[i]->Take(
-          p.captures[i].name, p.captures[i].chain, p.captures[i].point);
-      if (!rep.captures[i].SameRows(rc)) rep.captures_match = false;
-    }
-  }
-  if (opts.materialize) {
-    qr.materialized = true;
-    rep.materialized = true;
-    rep.materialized_rows = qr.rows.rows();
-    rep.materialized_bytes = qr.rows.bytes();
-  }
-  qr.report = std::move(rep);
-  return qr;
+  return run.Finish(std::move(rep), "cluster", co.nodes, co.threads_per_node,
+                    ClusterTraceOps,
+                    [&](const std::vector<mt::CaptureSink>& caps) {
+                      return cluster::ReferenceExecute(query, caps);
+                    });
 }
 
 Result<std::string> Session::Explain(const Query& q,

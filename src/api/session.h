@@ -966,6 +966,7 @@ class Session {
  private:
   friend class Scheduler;
   struct Planned;
+  struct RealRun;  // per-run glue shared by the threads and cluster runs
 
   /// Per-attempt fault/retry context threaded into the backend runners:
   /// the query's injector (null = no chaos), the attempt index, and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
@@ -10,12 +9,12 @@
 #include <unordered_set>
 
 #include "common/zipf.h"
-#include "mt/column_batch.h"
-#include "mt/row_table.h"
+#include "mt/node_plane.h"
 #include "net/message.h"
 
 namespace hierdb::cluster {
 
+using mt::Activation;
 using mt::Batch;
 using mt::LocalStrategy;
 using mt::ResultDigest;
@@ -68,28 +67,6 @@ PartitionedTable PartitionWithPlacementSkew(const mt::Table& table,
   return out;
 }
 
-Status ChainQuery::Validate(uint32_t nodes) const {
-  if (input == nullptr) return Status::InvalidArgument("null input");
-  if (input->parts.size() != nodes) {
-    return Status::InvalidArgument("input partition count != nodes");
-  }
-  uint32_t width = input->width;
-  for (const Join& j : joins) {
-    if (j.build == nullptr) return Status::InvalidArgument("null build");
-    if (j.build->parts.size() != nodes) {
-      return Status::InvalidArgument("build partition count != nodes");
-    }
-    if (j.probe_col >= width) {
-      return Status::OutOfRange("probe col out of pipelined width");
-    }
-    if (j.build_col >= j.build->width) {
-      return Status::OutOfRange("build col out of build width");
-    }
-    width += j.build->width;
-  }
-  return Status::OK();
-}
-
 Status PlanQuery::Validate(uint32_t nodes) const {
   std::vector<uint32_t> widths;
   widths.reserve(tables.size());
@@ -124,34 +101,11 @@ namespace {
 mt::Table Gather(const PartitionedTable& pt) {
   mt::Table t;
   t.batch = Batch(pt.width);
-  for (const Batch& p : pt.parts) {
-    t.batch.data().insert(t.batch.data().end(), p.data().begin(),
-                          p.data().end());
-  }
+  for (const Batch& p : pt.parts) t.batch.Append(p);
   return t;
 }
 
 }  // namespace
-
-Result<ResultDigest> ReferenceExecute(const ChainQuery& query) {
-  HIERDB_RETURN_NOT_OK(
-      query.Validate(static_cast<uint32_t>(query.input->parts.size())));
-  std::vector<mt::Table> tables;
-  tables.push_back(Gather(*query.input));
-  mt::PipelinePlan plan;
-  mt::Chain chain;
-  chain.input = mt::Source::OfTable(0);
-  for (const auto& j : query.joins) {
-    tables.push_back(Gather(*j.build));
-    chain.joins.push_back({mt::Source::OfTable(
-                               static_cast<uint32_t>(tables.size() - 1)),
-                           j.probe_col, j.build_col});
-  }
-  plan.chains.push_back(std::move(chain));
-  std::vector<const mt::Table*> ptrs;
-  for (const auto& t : tables) ptrs.push_back(&t);
-  return mt::ReferenceExecute(plan, ptrs);
-}
 
 Result<ResultDigest> ReferenceExecute(const PlanQuery& query) {
   return ReferenceExecute(query, {});
@@ -187,44 +141,6 @@ double ClusterStats::NodeImbalance() const {
 // Implementation.
 
 namespace {
-
-struct Activation {
-  uint32_t op = 0;
-  uint32_t bucket = 0;
-  Batch rows;
-};
-
-class BQueue {
- public:
-  bool TryPush(Activation&& a, uint32_t capacity) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.size() >= capacity) return false;
-    items_.push_back(std::move(a));
-    return true;
-  }
-  bool TryPopFront(Activation* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-  bool TryPopBack(Activation* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.back());
-    items_.pop_back();
-    return true;
-  }
-  size_t ApproxSize() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::deque<Activation> items_;
-};
 
 constexpr uint32_t kAnyOp = UINT32_MAX;
 constexpr int64_t kMorselsUnknown = -1;  // trigger source chain still running
@@ -293,45 +209,22 @@ struct ClusterExecutor::Impl {
 
   // ---- tracing (null disables the feature; see ClusterOptions) ----
   // Slot s belongs exclusively to gang body s = node * (T+1) + role, so
-  // span cells need no synchronization; Drain happens after the gang
+  // span cells need no synchronization; they are emitted after the gang
   // barrier.
   obs::TraceSink* trace = nullptr;
-  uint32_t trace_slots = 0;
-  std::vector<obs::OpSpanAgg> trace_cells;  // [slot * nops + op]
+  mt::SpanCells spans;
 
   uint32_t slot_of(uint32_t node, uint32_t role) const {
     return node * (opt.threads_per_node + 1) + role;
   }
-  /// Folds one activation into worker t's span cell. Pre: trace != null.
-  void TraceActivation(uint32_t node, uint32_t t, uint32_t op, uint64_t t0,
-                       uint64_t rows_in, uint64_t rows_out) {
-    trace_cells[static_cast<size_t>(slot_of(node, t + 1)) * nops + op].Add(
-        t0, trace->NowNs(), rows_in, rows_out);
-  }
-  /// Emits accumulated span cells into the sink. Runs after the gang
-  /// barrier (every exit path, cancelled/failed runs included).
+  /// Emits the span cells (every exit path, cancelled/failed runs
+  /// included); role 0 is the node's scheduler (worker -1).
   void EmitTraceCells() {
-    if (trace == nullptr) return;
     const uint32_t per_node = opt.threads_per_node + 1;
-    for (uint32_t s = 0; s < trace_slots; ++s) {
-      for (uint32_t op = 0; op < nops; ++op) {
-        const obs::OpSpanAgg& cell =
-            trace_cells[static_cast<size_t>(s) * nops + op];
-        if (cell.empty()) continue;
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kSpan;
-        ev.node = static_cast<int32_t>(s / per_node);
-        ev.worker = static_cast<int32_t>(s % per_node) - 1;  // -1 = scheduler
-        ev.op = static_cast<int32_t>(op);
-        ev.start_ns = cell.first_ns;
-        ev.end_ns = cell.last_ns;
-        ev.activations = cell.activations;
-        ev.rows_in = cell.rows_in;
-        ev.rows_out = cell.rows_out;
-        ev.detail = cell.busy_ns;
-        trace->Record(s, ev);
-      }
-    }
+    spans.Emit([per_node](uint32_t s, obs::TraceEvent* ev) {
+      ev->node = static_cast<int32_t>(s / per_node);
+      ev->worker = static_cast<int32_t>(s % per_node) - 1;
+    });
   }
 
   // ---- fault detection state ----
@@ -362,16 +255,6 @@ struct ClusterExecutor::Impl {
                 .injector = o.detect_faults ? o.injector : nullptr,
                 .recorder = o.recorder,
                 .recorder_query = o.recorder_query}) {}
-
-  // ---- plan-point captures (opt.captures; empty = no per-row work) ----
-  void OfferCapture(uint32_t chain, uint32_t point, const int64_t* row,
-                    uint32_t width) {
-    for (const mt::CaptureSink& cs : opt.captures) {
-      if (cs.chain == chain && cs.point == point && cs.sink != nullptr) {
-        cs.sink->Offer(row, width);
-      }
-    }
-  }
 
   /// First stop-observer tears the whole run down: every node's done flag
   /// releases its workers, and schedulers exit on `cancelled`.
@@ -455,8 +338,8 @@ struct ClusterExecutor::Impl {
 
   // ---- per-node state ----
   struct NodeState {
-    // Queues: [op * T + t]; only data ops (build/probe) use them.
-    std::vector<std::unique_ptr<BQueue>> queues;
+    // Queues per (op, thread); only data ops (build/probe) use them.
+    mt::ActivationQueues queues;
     std::vector<std::atomic<int64_t>> pending;       // per op
     std::vector<std::atomic<int64_t>> morsels_left;  // per trigger op
     std::vector<std::atomic<size_t>> cursor;         // per trigger op
@@ -504,15 +387,15 @@ struct ClusterExecutor::Impl {
     std::vector<bool> drain_acked;
 
     // Scheduler overflow buffer for routing into full queues.
-    std::deque<Activation> route_overflow;
+    mt::Outbox route_overflow;
 
     // Per-sender message sequence numbers already handled (consumed only
     // by this node's receive loops; populated only when duplication
     // faults are armed).
     std::vector<std::unordered_set<uint64_t>> seen_seq;
 
-    // FP stage assignments: packed [lo, hi) ranges per op.
-    std::vector<uint64_t> fp_range;
+    // FP stage assignments: a thread range per op.
+    std::vector<mt::ThreadRange> fp_range;
 
     std::atomic<bool> done{false};
     std::atomic<bool> failed{false};
@@ -537,22 +420,9 @@ struct ClusterExecutor::Impl {
     std::atomic<uint64_t> filtered{0};
     std::atomic<uint64_t> agg_repart_rows{0};
 
-    // Per-worker outboxes for full local queues.
-    std::vector<std::deque<Activation>> outbox;
-
-    // Per-worker scatter scratch, pooled by re-entrancy depth (FlushOutbox
-    // may nest another activation while an outer frame scatters).
-    struct Scratch {
-      std::vector<Batch> bucket;
-      std::vector<uint32_t> hit;
-      // Columnar kernels: selection vector, hash column and gathered
-      // key column reused across activations (mt/column_batch.h kernels).
-      mt::SelVec sel;
-      std::vector<uint64_t> hashes;
-      std::vector<int64_t> keys;
-    };
-    std::vector<std::vector<std::unique_ptr<Scratch>>> scratch_pool;
-    std::vector<size_t> scratch_depth;
+    // Per-worker outboxes for full local queues, and scatter scratch.
+    std::vector<mt::Outbox> outbox;
+    mt::ScratchPool scratch;
   };
   std::vector<std::unique_ptr<NodeState>> node_state;
 
@@ -649,10 +519,7 @@ struct ClusterExecutor::Impl {
     node_state.clear();
     for (uint32_t n = 0; n < opt.nodes; ++n) {
       auto ns = std::make_unique<NodeState>();
-      ns->queues.reserve(static_cast<size_t>(nops) * T);
-      for (uint32_t i = 0; i < nops * T; ++i) {
-        ns->queues.push_back(std::make_unique<BQueue>());
-      }
+      ns->queues.Init(nops, T);
       ns->pending = std::vector<std::atomic<int64_t>>(nops);
       ns->morsels_left = std::vector<std::atomic<int64_t>>(nops);
       ns->cursor = std::vector<std::atomic<size_t>>(nops);
@@ -705,8 +572,7 @@ struct ClusterExecutor::Impl {
       ns->busy.assign(T, 0);
       ns->chain_rows.assign(static_cast<size_t>(C) * T, 0);
       ns->outbox.resize(T);
-      ns->scratch_pool.resize(T);
-      ns->scratch_depth.assign(T, 0);
+      ns->scratch.Init(T, B);
       // Trigger morsel counts: known now for base-table sources, resolved
       // at source-chain termination for intermediate sources.
       auto morsels = [&](size_t rows) {
@@ -735,13 +601,8 @@ struct ClusterExecutor::Impl {
       node_state.push_back(std::move(ns));
     }
 
-    if (opt.trace != nullptr) {
-      trace = opt.trace;
-      trace_slots = opt.nodes * (T + 1);
-      trace->EnsureSlots(trace_slots);
-      trace_cells.assign(static_cast<size_t>(trace_slots) * nops,
-                         obs::OpSpanAgg{});
-    }
+    trace = opt.trace;
+    spans.Init(opt.trace, opt.nodes * (T + 1), nops);
   }
 
   /// Local row-count estimate for a source at `node`: exact for base
@@ -761,93 +622,41 @@ struct ClusterExecutor::Impl {
   // range, so under serialized chains this matches single-chain FP and
   // under concurrent chains a thread may serve several chains' stages.
   void ComputeFpRanges(NodeState& ns, uint32_t n) {
-    const uint32_t T = opt.threads_per_node;
-    ns.fp_range.assign(nops, 0);
-    auto distort = [&](uint32_t op, double c) {
-      return op < opt.fp_cost_distortion.size()
-                 ? c * opt.fp_cost_distortion[op]
-                 : c;
+    ns.fp_range.assign(nops, {});
+    std::vector<uint32_t> ops;  // the stage being apportioned
+    std::vector<double> costs;
+    auto add = [&](uint32_t op, double cost) {
+      ops.push_back(op);
+      costs.push_back(op < opt.fp_cost_distortion.size()
+                          ? cost * opt.fp_cost_distortion[op]
+                          : cost);
     };
-    auto apportion = [&](const std::vector<std::pair<uint32_t, double>>&
-                             ops_with_cost) {
-      if (ops_with_cost.empty()) return;
-      if (ops_with_cost.size() >= T) {
-        for (size_t i = 0; i < ops_with_cost.size(); ++i) {
-          uint32_t t = static_cast<uint32_t>(i) % T;
-          ns.fp_range[ops_with_cost[i].first] =
-              (static_cast<uint64_t>(t) << 32) | (t + 1);
-        }
-        return;
-      }
-      double total = 0;
-      for (const auto& [op, c] : ops_with_cost) total += c;
-      uint32_t rest = T - static_cast<uint32_t>(ops_with_cost.size());
-      std::vector<uint32_t> alloc(ops_with_cost.size(), 1);
-      std::vector<double> frac(ops_with_cost.size());
-      uint32_t used = 0;
-      for (size_t i = 0; i < ops_with_cost.size(); ++i) {
-        double share =
-            total > 0 ? ops_with_cost[i].second / total * rest
-                      : static_cast<double>(rest) / ops_with_cost.size();
-        uint32_t whole = static_cast<uint32_t>(share);
-        alloc[i] += whole;
-        used += whole;
-        frac[i] = share - whole;
-      }
-      std::vector<size_t> order(ops_with_cost.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(),
-                [&](size_t a, size_t b) { return frac[a] > frac[b]; });
-      for (size_t i = 0; i < order.size() && used < rest; ++i, ++used) {
-        ++alloc[order[i]];
-      }
-      uint32_t t = 0;
-      for (size_t i = 0; i < ops_with_cost.size(); ++i) {
-        ns.fp_range[ops_with_cost[i].first] =
-            (static_cast<uint64_t>(t) << 32) | (t + alloc[i]);
-        t += alloc[i];
-      }
+    auto apportion = [&] {
+      const std::vector<mt::ThreadRange> ranges =
+          mt::ApportionThreads(costs, opt.threads_per_node);
+      for (size_t i = 0; i < ops.size(); ++i) ns.fp_range[ops[i]] = ranges[i];
+      ops.clear();
+      costs.clear();
     };
     for (uint32_t c = 0; c < chains.size(); ++c) {
       const ChainInfo& ci = chains[c];
-      std::vector<std::pair<uint32_t, double>> stage_a;
       for (uint32_t j = 0; j < ci.k; ++j) {
-        double cost =
+        const double cost =
             EstimateSourceRows(n, query->plan.chains[c].joins[j].build) + 1;
-        stage_a.push_back(
-            {ci.op_base + j, distort(ci.op_base + j, cost)});
-        stage_a.push_back({build_op(c, j), distort(build_op(c, j), cost)});
+        add(ci.op_base + j, cost);
+        add(build_op(c, j), cost);
       }
-      apportion(stage_a);
-      std::vector<std::pair<uint32_t, double>> stage_b;
-      double scan_cost =
+      apportion();
+      const double scan_cost =
           EstimateSourceRows(n, query->plan.chains[c].input) + 1;
-      stage_b.push_back({scan_op(c), distort(scan_op(c), scan_cost)});
-      for (uint32_t j = 0; j < ci.k; ++j) {
-        stage_b.push_back(
-            {probe_op(c, j), distort(probe_op(c, j), scan_cost)});
-      }
-      apportion(stage_b);
+      add(scan_op(c), scan_cost);
+      for (uint32_t j = 0; j < ci.k; ++j) add(probe_op(c, j), scan_cost);
+      apportion();
     }
   }
-
-  NodeState::Scratch& AcquireScratch(NodeState& ns, uint32_t t) {
-    size_t d = ns.scratch_depth[t]++;
-    if (d == ns.scratch_pool[t].size()) {
-      auto sc = std::make_unique<NodeState::Scratch>();
-      sc->bucket.resize(opt.buckets);
-      ns.scratch_pool[t].push_back(std::move(sc));
-    }
-    return *ns.scratch_pool[t][d];
-  }
-  void ReleaseScratch(NodeState& ns, uint32_t t) { --ns.scratch_depth[t]; }
 
   bool ThreadMayRun(const NodeState& ns, uint32_t t, uint32_t op) const {
-    if (opt.strategy != LocalStrategy::kFP) return true;
-    uint64_t packed = ns.fp_range[op];
-    uint32_t lo = static_cast<uint32_t>(packed >> 32);
-    uint32_t hi = static_cast<uint32_t>(packed);
-    return lo <= t && t < hi;
+    return opt.strategy != LocalStrategy::kFP || ns.fp_range[op].Holds(t);
   }
 
   bool Consumable(const NodeState& ns, uint32_t op) const {
@@ -952,7 +761,7 @@ struct ClusterExecutor::Impl {
       if (is_trigger(op) || !Consumable(ns, op)) continue;
       if (!ThreadMayRun(ns, t, op)) continue;
       Activation act;
-      if (ns.queues[op * T + t]->TryPopFront(&act)) {
+      if (ns.queues.TryPopFront(op, t, &act)) {
         ExecuteData(node, t, std::move(act));
         return true;
       }
@@ -971,7 +780,7 @@ struct ClusterExecutor::Impl {
       if (!ThreadMayRun(ns, t, op)) continue;
       for (uint32_t d = 1; d < T; ++d) {
         Activation act;
-        if (ns.queues[op * T + (t + d) % T]->TryPopBack(&act)) {
+        if (ns.queues.TryPopBack(op, (t + d) % T, &act)) {
           ExecuteData(node, t, std::move(act));
           return true;
         }
@@ -998,95 +807,53 @@ struct ClusterExecutor::Impl {
     const uint32_t c = op_chain[op];
     const ChainInfo& ci = chains[c];
     const uint32_t rel = op - ci.op_base;
-    uint32_t dst_op, col;
-    int32_t src_chain = -1;  // repartitioning a chain intermediate?
-    const mt::Source& trigger_src = rel == 2 * ci.k
-                                        ? query->plan.chains[c].input
-                                        : jn_build_src[ci.join_base + rel];
-    if (rel == 2 * ci.k) {
-      dst_op = probe_op(c, 0);
-      col = jn_probe_col[ci.join_base];
-    } else {
-      dst_op = build_op(c, rel);
-      col = jn_build_col[ci.join_base + rel];
-    }
-    if (trigger_src.kind == mt::Source::Kind::kChain) {
-      src_chain = static_cast<int32_t>(trigger_src.index);
-    }
-    // Scan-level predicates of base tables, applied as the rows enter the
-    // pipeline (chain intermediates were filtered at their own scans).
-    const std::vector<mt::Predicate>* preds =
-        trigger_src.kind == mt::Source::Kind::kTable
-            ? query->plan.FiltersFor(trigger_src.index)
-            : nullptr;
-    // Column pruning: a pruned base table ships only its kept columns —
-    // the repartition wire narrows with it. The plan's key column is in
-    // projected coordinates; map it back for hashing unprojected rows.
-    const std::vector<uint32_t>* proj =
-        trigger_src.kind == mt::Source::Kind::kTable
-            ? query->plan.ProjectionFor(trigger_src.index)
-            : nullptr;
-    const uint32_t out_w =
-        proj != nullptr ? static_cast<uint32_t>(proj->size()) : src.width();
-    const uint32_t key_src = proj != nullptr ? (*proj)[col] : col;
-    const uint32_t B = opt.buckets;
+    const bool scan = rel == 2 * ci.k;
+    const mt::Source& trigger_src = scan ? query->plan.chains[c].input
+                                         : jn_build_src[ci.join_base + rel];
+    const uint32_t dst_op = scan ? probe_op(c, 0) : build_op(c, rel);
+    const uint32_t col = scan ? jn_probe_col[ci.join_base]
+                              : jn_build_col[ci.join_base + rel];
+    // Repartitioning a chain intermediate? (its remote share is counted)
+    const int32_t src_chain =
+        trigger_src.kind == mt::Source::Kind::kChain
+            ? static_cast<int32_t>(trigger_src.index)
+            : -1;
+    // Scan-level predicates and column pruning of base tables apply as
+    // the rows enter the pipeline, so a pruned table's repartition wire
+    // narrows with it (intermediates were filtered and pruned at their
+    // own scans).
+    const mt::ScanSpec spec =
+        mt::ScanSpec::For(query->plan, trigger_src, src);
     NodeState& ns = *node_state[node];
-    const uint64_t tr0 = trace != nullptr ? trace->NowNs() : 0;
-    uint64_t kept = 0;
-    auto& sc = AcquireScratch(ns, t);
-    auto& scratch = sc.bucket;
-    auto& hit = sc.hit;
-    auto flush = [&](uint32_t bucket, Batch&& rows) {
-      if (src_chain >= 0 && home_of(bucket) != node) {
-        ns.repart_rows[src_chain].fetch_add(rows.rows(),
-                                            std::memory_order_relaxed);
-      }
-      Route(node, t, dst_op, bucket, std::move(rows));
-    };
+    const uint64_t tr0 = spans.Now();
     // Scan output = capture point 0, offered where rows enter the chain
     // (each source row is scanned by exactly one node, so once apiece).
     // Build triggers are not plan points.
-    const bool cap = !opt.captures.empty() && rel == 2 * ci.k;
-    auto scatter = [&](const int64_t* row, uint32_t bucket) {
-      ++kept;
-      Batch& b = scratch[bucket];
-      if (b.width() == 0) b = Batch(out_w);
-      if (b.empty()) hit.push_back(bucket);
-      if (proj != nullptr) {
-        b.AppendRowProjected(row, *proj);
-      } else {
-        b.AppendRow(row);
-      }
-      if (cap) OfferCapture(c, 0, b.row(b.rows() - 1), out_w);
-      if (b.rows() >= opt.batch_rows) {
-        flush(bucket, std::move(b));
-        scratch[bucket] = Batch();
-        hit.erase(std::find(hit.begin(), hit.end(), bucket));
-      }
-    };
-    // Selection vector + one-pass hash column (mt/column_batch.h).
-    const size_t n = end - begin;
-    size_t m = n;
-    const uint32_t* selp = nullptr;
-    if (preds != nullptr) {
-      m = mt::FilterBatch(src, begin, n, *preds, &sc.sel);
-      ns.filtered.fetch_add(n - m, std::memory_order_relaxed);
-      selp = sc.sel.data();
+    mt::ScratchPool::Lease sc(ns.scratch, t);
+    const size_t kept = mt::ScatterMorsel(
+        spec, begin, end, col, opt.buckets, opt.batch_rows, *sc,
+        [&](uint32_t bucket, Batch& rows) {
+          if (src_chain >= 0 && home_of(bucket) != node) {
+            ns.repart_rows[src_chain].fetch_add(rows.rows(),
+                                                std::memory_order_relaxed);
+          }
+          Route(node, t, dst_op, bucket, std::move(rows));
+        },
+        [&](const int64_t* row, uint32_t w) {
+          if (scan) mt::OfferCapture(opt.captures, c, 0, row, w);
+        });
+    if (spec.preds != nullptr) {
+      ns.filtered.fetch_add(end - begin - kept, std::memory_order_relaxed);
     }
-    sc.hashes.resize(m);
-    mt::HashStrided(src.data().data() + begin * src.width() + key_src,
-                    src.width(), selp, m, sc.hashes.data());
-    for (size_t i = 0; i < m; ++i) {
-      scatter(src.row(begin + (selp != nullptr ? selp[i] : i)),
-              static_cast<uint32_t>(sc.hashes[i] % B));
+    if (spans.on()) spans.Add(slot_of(node, t + 1), op, tr0, end - begin, kept);
+  }
+
+  // Queues an activation that arrived at its node, or stages it for the
+  // scheduler's next routing pass when the queue is full.
+  void Enqueue(NodeState& ns, Activation&& act) {
+    if (!ns.queues.TryPush(act, opt.queue_capacity)) {
+      ns.route_overflow.Push(std::move(act));
     }
-    for (uint32_t bucket : hit) {
-      flush(bucket, std::move(scratch[bucket]));
-      scratch[bucket] = Batch();
-    }
-    hit.clear();
-    ReleaseScratch(ns, t);
-    if (trace != nullptr) TraceActivation(node, t, op, tr0, end - begin, kept);
   }
 
   // Routes one data activation to the bucket's home node: local queue via
@@ -1098,10 +865,8 @@ struct ClusterExecutor::Impl {
       NodeState& ns = *node_state[node];
       ns.pending[dst_op].fetch_add(1);
       Activation act{dst_op, bucket, std::move(rows)};
-      const uint32_t T = opt.threads_per_node;
-      if (!ns.queues[dst_op * T + bucket % T]->TryPush(
-              std::move(act), opt.queue_capacity)) {
-        ns.outbox[t].push_back(std::move(act));
+      if (!ns.queues.TryPush(act, opt.queue_capacity)) {
+        ns.outbox[t].Push(std::move(act));
       } else {
         ns.wake_cv.notify_one();
       }
@@ -1132,126 +897,80 @@ struct ClusterExecutor::Impl {
   void ExecuteData(uint32_t node, uint32_t t, Activation&& act) {
     NodeState& ns = *node_state[node];
     ++ns.busy[t];
-    const uint64_t tr0 = trace != nullptr ? trace->NowNs() : 0;
+    const uint64_t tr0 = spans.Now();
     const uint64_t rows_in = act.rows.rows();
+    uint64_t rows_out = rows_in;
     const uint32_t c = op_chain[act.op];
     const ChainInfo& ci = chains[c];
     const uint32_t g = join_of(act.op);
     if (is_build(act.op)) {
-      {
-        std::lock_guard<std::mutex> lock(*ns.bucket_mu[g][act.bucket]);
-        ns.tables[g][act.bucket].InsertBatch(act.rows);
-      }
-      if (trace != nullptr) {
-        TraceActivation(node, t, act.op, tr0, rows_in, rows_in);
-      }
-      ns.pending[act.op].fetch_sub(1);
-      return;
-    }
-    // Probe.
-    const RowTable* table = nullptr;
-    if (home_of(act.bucket) == node) {
-      table = &ns.tables[g][act.bucket];
+      mt::InsertBuild(ns.tables[g][act.bucket], *ns.bucket_mu[g][act.bucket],
+                      act.rows);
     } else {
-      std::shared_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
-      auto it = ns.stolen[g].find(act.bucket);
-      if (it != ns.stolen[g].end()) table = it->second.get();
-    }
-    if (table == nullptr) {
-      ns.failed.store(true);
-      ns.pending[act.op].fetch_sub(1);
-      return;
-    }
-    const uint32_t probe_col = jn_probe_col[g];
-    const uint32_t build_w = jn_build_width[g];
-    const uint32_t in_w = act.rows.width();
-    const uint32_t out_w = in_w + build_w;
-    const uint32_t j = act.op - ci.op_base - 2 * ci.k - 1;
-    const bool last = j + 1 == ci.k;
-    const bool final_chain = c + 1 == chains.size();
-    std::vector<int64_t> out_row(out_w);
-    const uint32_t B = opt.buckets;
-    auto& sc = AcquireScratch(ns, t);
-    auto& scratch = sc.bucket;
-    auto& hit = sc.hit;
-    uint32_t next_col = 0;
-    uint32_t next_op = 0;
-    if (!last) {
-      next_col = jn_probe_col[g + 1];
-      next_op = act.op + 1;
-    }
-    // A non-final chain's terminal probe materializes into this node's
-    // share of the distributed intermediate (batched per activation); the
-    // final chain's does the same when the result is being materialized.
-    // Under aggregation the final rows fold straight into this thread's
-    // partial table (phase 1 of the distributed aggregation) — never
-    // buffered — and the digest comes from the merged aggregate rows.
-    const bool to_agg = final_chain && agg != nullptr;
-    const bool keep_rows =
-        !final_chain || (materialize_final && agg == nullptr);
-    Batch local_out;
-    if (last && keep_rows) local_out = Batch(out_w);
-    mt::AggTable* agg_part =
-        last && to_agg ? &ns.agg_partials[t] : nullptr;
-    uint64_t produced = 0;
-    // Output of probe step j (0-based) = capture point j + 1; the last
-    // probe's output is the chain output (point k).
-    const bool cap = !opt.captures.empty();
-    auto on_match = [&](const int64_t* row, const int64_t* brow) {
-      ++produced;
-      std::copy(row, row + in_w, out_row.begin());
-      std::copy(brow, brow + build_w, out_row.begin() + in_w);
-      if (cap) OfferCapture(c, j + 1, out_row.data(), out_w);
-      if (last) {
-        if (agg_part != nullptr) {
-          agg_part->Accumulate(out_row.data());
-          return;
-        }
-        if (final_chain) ns.digests[t].Add(out_row.data(), out_w);
-        if (keep_rows) local_out.AppendRow(out_row.data());
+      // Probe: the bucket's table is local when homed here, else a stolen
+      // fragment.
+      const RowTable* table = nullptr;
+      if (home_of(act.bucket) == node) {
+        table = &ns.tables[g][act.bucket];
+      } else {
+        std::shared_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
+        auto it = ns.stolen[g].find(act.bucket);
+        if (it != ns.stolen[g].end()) table = it->second.get();
+      }
+      if (table == nullptr) {
+        ns.failed.store(true);
+        ns.pending[act.op].fetch_sub(1);
         return;
       }
-      uint32_t bucket =
-          static_cast<uint32_t>(mt::HashKey(out_row[next_col]) % B);
-      Batch& b = scratch[bucket];
-      if (b.width() == 0) b = Batch(out_w);
-      if (b.empty()) hit.push_back(bucket);
-      b.AppendRow(out_row.data());
-      if (b.rows() >= opt.batch_rows) {
-        Route(node, t, next_op, bucket, std::move(b));
-        scratch[bucket] = Batch();
-        hit.erase(std::find(hit.begin(), hit.end(), bucket));
+      const uint32_t j = act.op - ci.op_base - 2 * ci.k - 1;
+      // Output of probe step j (0-based) = capture point j + 1; the last
+      // probe's output is the chain output (point k).
+      auto capture = [&](const int64_t* row, uint32_t w) {
+        mt::OfferCapture(opt.captures, c, j + 1, row, w);
+      };
+      mt::ScratchPool::Lease sc(ns.scratch, t);
+      if (j + 1 < ci.k) {
+        rows_out = mt::ProbeForward(
+            act.rows, jn_probe_col[g], *table, jn_probe_col[g + 1],
+            opt.buckets, opt.batch_rows, *sc,
+            [&](uint32_t bucket, Batch& rows) {
+              Route(node, t, act.op + 1, bucket, std::move(rows));
+            },
+            capture);
+      } else {
+        // A non-final chain's terminal probe materializes into this node's
+        // share of the distributed intermediate (batched per activation);
+        // the final chain's does the same when the result is being
+        // materialized. Under aggregation the final rows fold straight
+        // into this thread's partial table (phase 1 of the distributed
+        // aggregation) — never buffered — and the digest comes from the
+        // merged aggregate rows.
+        const bool final_chain = c + 1 == chains.size();
+        Batch local_out;
+        mt::TerminalSink sink;
+        if (final_chain && agg != nullptr) {
+          sink.agg = &ns.agg_partials[t];
+        } else {
+          if (final_chain) sink.digest = &ns.digests[t];
+          if (!final_chain || materialize_final) {
+            local_out = Batch(act.rows.width() + table->width());
+            sink.keep = &local_out;
+          }
+        }
+        rows_out = mt::ProbeRows(act.rows, jn_probe_col[g], *table, *sc,
+                                 [&](const int64_t* row, uint32_t w) {
+                                   capture(row, w);
+                                   sink(row, w);
+                                 });
+        if (!local_out.empty()) {
+          std::lock_guard<std::mutex> lock(*ns.inter_mu[c]);
+          ns.inter[c].Append(local_out);
+        }
+        ns.chain_rows[c * opt.threads_per_node + t] += rows_out;
       }
-    };
-    if (act.rows.rows() > 0) {
-      // Batched probe: gather the key column, hash it in one pass, walk
-      // the chains with a prefetch window (RowTable::ProbeBatch).
-      const size_t n = act.rows.rows();
-      sc.keys.resize(n);
-      sc.hashes.resize(n);
-      mt::GatherStrided(act.rows.data().data() + probe_col, in_w, nullptr, n,
-                        sc.keys.data());
-      mt::HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-      table->ProbeBatch(sc.keys.data(), sc.hashes.data(), n,
-                        [&](size_t i, const int64_t* brow) {
-                          on_match(act.rows.row(i), brow);
-                        });
     }
-    for (uint32_t bucket : hit) {
-      Route(node, t, next_op, bucket, std::move(scratch[bucket]));
-      scratch[bucket] = Batch();
-    }
-    hit.clear();
-    ReleaseScratch(ns, t);
-    if (last && keep_rows && !local_out.empty()) {
-      std::lock_guard<std::mutex> lock(*ns.inter_mu[c]);
-      ns.inter[c].data().insert(ns.inter[c].data().end(),
-                                local_out.data().begin(),
-                                local_out.data().end());
-    }
-    if (last) ns.chain_rows[c * opt.threads_per_node + t] += produced;
-    if (trace != nullptr) {
-      TraceActivation(node, t, act.op, tr0, rows_in, produced);
+    if (spans.on()) {
+      spans.Add(slot_of(node, t + 1), act.op, tr0, rows_in, rows_out);
     }
     ns.pending[act.op].fetch_sub(1);
   }
@@ -1260,22 +979,12 @@ struct ClusterExecutor::Impl {
   void FlushOutbox(uint32_t node, uint32_t t) {
     NodeState& ns = *node_state[node];
     const uint32_t T = opt.threads_per_node;
-    auto& outbox = ns.outbox[t];
+    mt::Outbox& outbox = ns.outbox[t];
     uint32_t stalls = 0;
     while (!outbox.empty() && !ns.done.load(std::memory_order_relaxed)) {
-      size_t n = outbox.size();
-      bool progressed = false;
-      for (size_t i = 0; i < n;) {
-        Activation& act = outbox[i];
-        if (ns.queues[act.op * T + act.bucket % T]->TryPush(
-                std::move(act), opt.queue_capacity)) {
-          outbox.erase(outbox.begin() + static_cast<long>(i));
-          --n;
-          progressed = true;
-        } else {
-          ++i;
-        }
-      }
+      const bool progressed = outbox.Retry([&](Activation& act) {
+        return ns.queues.TryPush(act, opt.queue_capacity);
+      });
       if (outbox.empty() || progressed) {
         stalls = 0;
         continue;
@@ -1286,7 +995,7 @@ struct ClusterExecutor::Impl {
       // helps per push pass to avoid quadratic outbox re-scans.
       bool helped = false;
       std::vector<uint32_t> stuck_ops;
-      for (const Activation& stuck : outbox) {
+      for (const Activation& stuck : outbox.items()) {
         if (Consumable(ns, stuck.op) &&
             std::find(stuck_ops.begin(), stuck_ops.end(), stuck.op) ==
                 stuck_ops.end()) {
@@ -1299,7 +1008,7 @@ struct ClusterExecutor::Impl {
         for (uint32_t d = 0; d < T && burst < 16; ++d) {
           Activation other;
           while (burst < 16 &&
-                 ns.queues[op * T + (t + d) % T]->TryPopFront(&other)) {
+                 ns.queues.TryPopFront(op, (t + d) % T, &other)) {
             ExecuteData(node, t, std::move(other));
             ++burst;
             helped = true;
@@ -1324,7 +1033,6 @@ struct ClusterExecutor::Impl {
 
   void SchedulerLoop(uint32_t node) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
     const bool detect = opt.detect_faults;
     // Node-loop faults only fire where detection can catch them —
     // otherwise an injected stall is a guaranteed hang, not a test.
@@ -1378,17 +1086,9 @@ struct ClusterExecutor::Impl {
       if (detect) now = MonoNs();
       bool worked = false;
       // 1. Route queued overflow from earlier messages.
-      for (size_t i = 0; i < ns.route_overflow.size();) {
-        Activation& act = ns.route_overflow[i];
-        if (ns.queues[act.op * T + act.bucket % T]->TryPush(
-                std::move(act), opt.queue_capacity)) {
-          ns.route_overflow.erase(ns.route_overflow.begin() +
-                                  static_cast<long>(i));
-          worked = true;
-        } else {
-          ++i;
-        }
-      }
+      worked |= ns.route_overflow.Retry([&](Activation& act) {
+        return ns.queues.TryPush(act, opt.queue_capacity);
+      });
       // 2. Drain the mailbox.
       Message m;
       while (fabric.mailbox(node).TryPop(&m)) {
@@ -1593,7 +1293,6 @@ struct ClusterExecutor::Impl {
 
   void HandleNodeMessage(uint32_t node, Message&& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
     switch (m.type) {
       case MsgType::kTupleBatch: {
         auto rows = net::DecodeBatch(m.payload);
@@ -1602,11 +1301,7 @@ struct ClusterExecutor::Impl {
           return;
         }
         ns.pending[m.op].fetch_add(1);
-        Activation act{m.op, m.bucket, std::move(rows).value()};
-        if (!ns.queues[m.op * T + m.bucket % T]->TryPush(
-                std::move(act), opt.queue_capacity)) {
-          ns.route_overflow.push_back(std::move(act));
-        }
+        Enqueue(ns, {m.op, m.bucket, std::move(rows).value()});
         break;
       }
       case MsgType::kDrainConfirm:
@@ -1656,16 +1351,12 @@ struct ClusterExecutor::Impl {
   // conditions ii, iv, v); benefit is the queued activation count.
   void HandleStarving(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
     uint32_t best_op = kAnyOp;
     uint64_t best_count = 0;
     for (uint32_t op : probe_ops) {
       if (m.op != kAnyOp && m.op != op) continue;
       if (!Consumable(ns, op) || ns.terminated[op].load()) continue;
-      uint64_t count = 0;
-      for (uint32_t t = 0; t < T; ++t) {
-        count += ns.queues[op * T + t]->ApproxSize();
-      }
+      const uint64_t count = ns.queues.Depth(op);
       if (count >= kMinStealDepth && count > best_count) {
         best_count = count;
         best_op = op;
@@ -1744,7 +1435,7 @@ struct ClusterExecutor::Impl {
     for (uint32_t t = 0; t < T && popped < opt.steal_batch; ++t) {
       Activation act;
       while (popped < opt.steal_batch &&
-             ns.queues[op * T + t]->TryPopBack(&act)) {
+             ns.queues.TryPopBack(op, t, &act)) {
         if (!requester_cached.count(act.bucket) &&
             !shipped.count(act.bucket)) {
           // Locate the bucket's build rows: the local table when the
@@ -1760,10 +1451,7 @@ struct ClusterExecutor::Impl {
           }
           if (table == nullptr) {
             // Cannot supply the hash table: keep the activation local.
-            if (!ns.queues[op * T + t]->TryPush(std::move(act),
-                                                opt.queue_capacity)) {
-              ns.route_overflow.push_back(std::move(act));
-            }
+            Enqueue(ns, std::move(act));
             continue;
           }
           shipped.insert(act.bucket);
@@ -1938,7 +1626,6 @@ struct ClusterExecutor::Impl {
 
   void HandleWork(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
     auto bundle = net::DecodeRowWork(m.payload);
     if (!bundle.ok()) {
       ns.failed.store(true);
@@ -1978,11 +1665,7 @@ struct ClusterExecutor::Impl {
     }
     for (auto& ra : bundle.value().activations) {
       ns.pending[op].fetch_add(1);
-      Activation act{op, ra.bucket, std::move(ra.rows)};
-      if (!ns.queues[op * T + ra.bucket % T]->TryPush(std::move(act),
-                                                      opt.queue_capacity)) {
-        ns.route_overflow.push_back(std::move(act));
-      }
+      Enqueue(ns, {op, ra.bucket, std::move(ra.rows)});
     }
     ns.steal_inflight.fetch_sub(1);
     ns.steal_in_progress = false;
@@ -2007,27 +1690,6 @@ uint32_t ClusterExecutor::CompiledOpCount(const PlanQuery& query) {
     nops += 3 * static_cast<uint32_t>(c.joins.size()) + 1;
   }
   return nops;
-}
-
-Result<ResultDigest> ClusterExecutor::Execute(const ChainQuery& query,
-                                              ClusterStats* stats,
-                                              mt::Batch* materialized) {
-  HIERDB_RETURN_NOT_OK(query.Validate(options_.nodes));
-  if (query.joins.empty()) {
-    return Status::InvalidArgument("chain query needs at least one join");
-  }
-  PlanQuery pq;
-  pq.tables.push_back(query.input);
-  mt::Chain chain;
-  chain.input = mt::Source::OfTable(0);
-  for (const auto& j : query.joins) {
-    pq.tables.push_back(j.build);
-    chain.joins.push_back(
-        {mt::Source::OfTable(static_cast<uint32_t>(pq.tables.size() - 1)),
-         j.probe_col, j.build_col});
-  }
-  pq.plan.chains.push_back(std::move(chain));
-  return Execute(pq, stats, materialized);
 }
 
 Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
@@ -2203,10 +1865,7 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
     if (im.agg != nullptr) {
       // Aggregated plans gather each node's finalized group rows.
       Batch out(im.agg->OutputWidth());
-      for (Batch& part : agg_out) {
-        out.data().insert(out.data().end(), part.data().begin(),
-                          part.data().end());
-      }
+      for (const Batch& part : agg_out) out.Append(part);
       *materialized = std::move(out);
     } else {
       // Gather each node's share of the final chain's rows (the
@@ -2217,10 +1876,7 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
       size_t total = 0;
       for (auto& ns : im.node_state) total += ns->inter[last].rows();
       out.Reserve(total);
-      for (auto& ns : im.node_state) {
-        out.data().insert(out.data().end(), ns->inter[last].data().begin(),
-                          ns->inter[last].data().end());
-      }
+      for (auto& ns : im.node_state) out.Append(ns->inter[last]);
       *materialized = std::move(out);
     }
   }

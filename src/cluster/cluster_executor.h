@@ -50,6 +50,12 @@
 //                  without it, chains whose inputs are all terminated
 //                  execute concurrently.
 //
+// Inside a node the executor runs the node data plane shared with the
+// threads backend (mt/node_plane.h: queues, outbox, scratch, FP
+// apportionment, span cells and operator kernels); this file adds the
+// routing over the fabric, stolen fragments, the steal protocol and end
+// detection.
+//
 // Strategy semantics for the Figure 10 / Section 5.3 comparison:
 //   kDP   global load sharing fires only when the *whole node* starves;
 //   kFP   an idle thread (its operator has no local work) immediately
@@ -98,21 +104,6 @@ PartitionedTable PartitionWithPlacementSkew(const mt::Table& table,
                                             uint32_t nodes, double theta,
                                             uint64_t seed);
 
-/// A single pipeline chain query: input scanned and piped through hash
-/// joins. Kept as the convenience front door for chain-only workloads;
-/// execution wraps it into a one-chain PlanQuery.
-struct ChainQuery {
-  const PartitionedTable* input = nullptr;
-  struct Join {
-    const PartitionedTable* build = nullptr;
-    uint32_t probe_col = 0;
-    uint32_t build_col = 0;
-  };
-  std::vector<Join> joins;
-
-  Status Validate(uint32_t nodes) const;
-};
-
 /// A multi-chain plan query: the cluster mirror of mt::PipelinePlan.
 /// `plan` is a DAG of pipeline chains whose table sources
 /// (mt::Source::OfTable) index `tables` and whose chain sources
@@ -128,7 +119,6 @@ struct PlanQuery {
 };
 
 /// Single-threaded reference (gathers all partitions, runs the joins).
-Result<mt::ResultDigest> ReferenceExecute(const ChainQuery& query);
 Result<mt::ResultDigest> ReferenceExecute(const PlanQuery& query);
 /// Reference execution that also feeds plan-point capture sinks (ground
 /// truth for the cluster backend's CapturePoint samples).
@@ -279,9 +269,6 @@ class ClusterExecutor {
   /// home node via the same tuple-batch shipping as the join dataflow, and
   /// each node merges and finalizes its disjoint partitions. The digest
   /// (and any materialized rows) are then the aggregate rows.
-  Result<mt::ResultDigest> Execute(const ChainQuery& query,
-                                   ClusterStats* stats = nullptr,
-                                   mt::Batch* materialized = nullptr);
   Result<mt::ResultDigest> Execute(const PlanQuery& query,
                                    ClusterStats* stats = nullptr,
                                    mt::Batch* materialized = nullptr);

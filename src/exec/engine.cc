@@ -207,6 +207,7 @@ void Engine::SetupQueuesSp() {
   const uint32_t n_ops = compiled_->num_ops();
   fp_threads_of_op_.assign(n_ops, {});
   sp_triggers_left_.assign(compiled_->plan().chains.size(), 0);
+  sp_chain_end_.assign(compiled_->plan().chains.size(), 0);
   sp_chain_cursor_ = 0;
   for (auto& nd : nodes_) {
     for (OpId o = 0; o < n_ops; ++o) {
@@ -481,12 +482,12 @@ void Engine::OnFrameStart(NodeId n, OpId op) {
   nodes_[n]->inflight[op] += 1;
 }
 
-void Engine::OnFrameDone(NodeId n, OpId op) {
+void Engine::OnFrameDone(NodeId n, OpId op, SimTime burst_end) {
   SmNode& nd = *nodes_[n];
   HIERDB_CHECK(nd.inflight[op] > 0, "inflight underflow");
   nd.inflight[op] -= 1;
   if (strategy_ == Strategy::kSP) {
-    SpOnTriggerDone(compiled_->op(op).def.chain);
+    SpOnTriggerDone(compiled_->op(op).def.chain, burst_end);
     return;
   }
   CheckLocalEnd(n, op);
@@ -538,12 +539,14 @@ void Engine::SpPublishCpuBatches(NodeId n, const Activation& trigger) {
   KickAllWorkers(n);
 }
 
-void Engine::SpOnTriggerDone(uint32_t chain_id) {
+void Engine::SpOnTriggerDone(uint32_t chain_id, SimTime burst_end) {
   HIERDB_CHECK(sp_triggers_left_[chain_id] > 0, "SP trigger underflow");
+  sp_chain_end_[chain_id] = std::max(sp_chain_end_[chain_id], burst_end);
   if (--sp_triggers_left_[chain_id] > 0) return;
-  // Chain complete: mark all of its operators ended.
+  // Chain complete: mark all of its operators ended when its last burst
+  // does (every burst of the chain ends by then).
   for (OpId o : compiled_->plan().chains[chain_id].ops) {
-    MarkOpEndedEverywhere(o);
+    MarkOpEndedEverywhere(o, sp_chain_end_[chain_id]);
   }
   ++sp_chain_cursor_;
   if (!done_) {
@@ -551,14 +554,16 @@ void Engine::SpOnTriggerDone(uint32_t chain_id) {
   }
 }
 
-void Engine::MarkOpEndedEverywhere(OpId op) {
+void Engine::MarkOpEndedEverywhere(OpId op, SimTime at) {
   if (op_globally_ended_[op]) return;
   op_globally_ended_[op] = 1;
-  metrics_.op_end_time[op] = sim_.Now();
+  metrics_.op_end_time[op] = at;
   for (auto& nd : nodes_) nd->op_ended[op] = 1;
   if (++ops_ended_count_ == compiled_->num_ops()) {
     done_ = true;
-    metrics_.response_time = sim_.Now();
+    // An earlier chain's last burst may outlast a short final chain.
+    metrics_.response_time = *std::max_element(metrics_.op_end_time.begin(),
+                                               metrics_.op_end_time.end());
   }
 }
 

@@ -285,13 +285,14 @@ class Engine {
   // Scheduler entry points.
   void WorkerStarving(NodeId n, OpId fp_target_op);
   void OnFrameStart(NodeId n, OpId op);
-  void OnFrameDone(NodeId n, OpId op);
+  /// A frame completed in a burst that ends at `burst_end`.
+  void OnFrameDone(NodeId n, OpId op, SimTime burst_end);
   void CheckLocalEnd(NodeId n, OpId op);
   void KickAllWorkers(NodeId n);
   void RebuildActiveList(NodeId n);
 
   // SP chain tracking.
-  void SpOnTriggerDone(uint32_t chain_id);
+  void SpOnTriggerDone(uint32_t chain_id, SimTime burst_end);
   /// SP: converts a completed trigger read into shared CPU batch
   /// activations that any thread of the node may process.
   void SpPublishCpuBatches(NodeId n, const Activation& trigger);
@@ -329,7 +330,7 @@ class Engine {
   void EndHandleEnded(NodeId at, const Message& msg);
   void TryConfirmDrain(NodeId n, OpId op);
   void FlushProducerResidue(NodeId n, OpId producer);
-  void MarkOpEndedEverywhere(OpId op);  // SP fast path
+  void MarkOpEndedEverywhere(OpId op, SimTime at);  // SP fast path
 
   void FinalizeMetrics();
   Status VerifyConservation() const;
@@ -355,6 +356,10 @@ class Engine {
 
   // SP chain tracking.
   std::vector<uint64_t> sp_triggers_left_;
+  // Latest end of a burst that completed one of the chain's triggers: the
+  // chain ends when its last burst does, not when its last trigger's
+  // burst starts.
+  std::vector<SimTime> sp_chain_end_;
   size_t sp_chain_cursor_ = 0;
   uint32_t sp_rr_ = 0;  ///< round-robin cursor for SP CPU batches
 

@@ -247,7 +247,8 @@ void Worker::RunBurst(double initial_instr) {
         eng_->metrics().tuples_processed += done_act.tuples;
         eng_->metrics().op_tuples_in[done_act.op] += done_act.tuples;
       }
-      eng_->OnFrameDone(node_, done_act.op);
+      eng_->OnFrameDone(node_, done_act.op,
+                        eng_->simulator().Now() + eng_->InstrNs(instr));
       break;
     }
     if (r == StepResult::kBlockedIo) {

@@ -1,11 +1,13 @@
 #include "mt/pipeline_executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
-#include "mt/column_batch.h"
-#include "mt/row_table.h"
+#include "mt/node_plane.h"
 
 namespace hierdb::mt {
 
@@ -23,44 +25,6 @@ double PipelineStats::Imbalance() const {
 
 // ---------------------------------------------------------------------
 // Compiled-plan structures.
-
-struct PipelineExecutor::Activation {
-  uint32_t op = 0;
-  uint32_t bucket = 0;
-  Batch rows;
-};
-
-class PipelineExecutor::BoundedQueue {
- public:
-  bool TryPush(Activation&& a, uint32_t capacity) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.size() >= capacity) return false;
-    items_.push_back(std::move(a));
-    return true;
-  }
-  bool TryPopFront(Activation* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-  bool TryPopBack(Activation* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.back());
-    items_.pop_back();
-    return true;
-  }
-  bool ApproxEmpty() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.empty();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::deque<Activation> items_;
-};
 
 // Compiled operator kinds. Build ops scatter their source into per-bucket
 // insert batches; scan ops scatter the chain input into the first probe's
@@ -102,6 +66,96 @@ bool BuildCacheKeyFor(const PipelineOptions& options, const PipelinePlan& plan,
   }
   return true;
 }
+
+// A build-cache lookup of build op `op`, as a trace and recorder instant.
+void RecordCacheLookup(const PipelineOptions& o, uint32_t op, bool hit) {
+  const obs::EventKind kind =
+      hit ? obs::EventKind::kCacheHit : obs::EventKind::kCacheMiss;
+  if (o.trace != nullptr) {
+    obs::TraceEvent ev;
+    ev.kind = kind;
+    ev.op = static_cast<int32_t>(op);
+    ev.start_ns = ev.end_ns = o.trace->NowNs();
+    o.trace->RecordShared(ev);
+  }
+  if (o.recorder != nullptr) o.recorder->Instant(kind, o.recorder_query, op);
+}
+
+// The rows of `parts` (each of `width`) in one batch; empties the parts.
+Batch Concat(std::vector<Batch>& parts, uint32_t width) {
+  Batch all(width);
+  size_t total = 0;
+  for (const Batch& part : parts) total += part.rows();
+  all.Reserve(total);
+  for (Batch& part : parts) {
+    all.Append(part);
+    part.Clear();
+  }
+  return all;
+}
+
+// Per-chain sums of per-slot row counts laid out [chain * slots + slot].
+std::vector<uint64_t> SumPerChain(const std::vector<uint64_t>& cells,
+                                  size_t chains) {
+  std::vector<uint64_t> out(chains, 0);
+  const size_t slots = cells.size() / chains;
+  for (size_t i = 0; i < cells.size(); ++i) out[i / slots] += cells[i];
+  return out;
+}
+
+// Phase 2 of the two-phase aggregation (DP, FP and SP alike): workers
+// rented through the run's context claim group-hash partitions and merge
+// every slot's partial of each into one final table (disjoint partitions,
+// so the merge needs no locks; pooled stealing and the stop token apply
+// unchanged).
+struct AggMerge {
+  std::vector<ResultDigest> digests;  // per partition
+  std::vector<Batch> rows;            // per partition (materialize)
+  uint64_t groups = 0;
+  uint64_t partial_entries = 0;
+
+  // Returns false when the run is cancelled mid-merge.
+  bool Run(ExecContext* ctx, uint32_t threads, uint32_t buckets,
+           const AggSpec* agg, const std::vector<AggTable>& partials,
+           bool want_rows) {
+    for (const AggTable& t : partials) partial_entries += t.groups();
+    // Merge partitions: enough for parallelism (a few per worker), but
+    // clamped below the join fragmentation degree — every partition
+    // re-scans every slot's partial table, so the scan work grows with P.
+    const uint32_t P = std::min(buckets, std::max(16u, 4 * threads));
+    std::vector<AggTable> finals(P);
+    for (AggTable& t : finals) t.Init(agg);
+    digests.assign(P, {});
+    rows.assign(P, Batch());
+    std::atomic<uint32_t> cursor{0};
+    std::atomic<bool> cancelled{false};
+    ctx->SpawnWorkers(threads, [&](uint32_t) {
+      for (;;) {
+        if (ctx->StopRequested()) {
+          cancelled.store(true);
+          return;
+        }
+        const uint32_t p = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (p >= P) return;
+        for (const AggTable& part : partials) {
+          part.ForEachPartial(
+              p, P, [&](const int64_t* row) { finals[p].MergePartial(row); });
+        }
+        finals[p].EmitFinal(want_rows ? &rows[p] : nullptr, &digests[p]);
+      }
+    });
+    if (cancelled.load()) return false;
+    for (const AggTable& t : finals) groups += t.groups();
+    return true;
+  }
+
+  // Folds the partition digests into `digest`; with `out`, gathers the
+  // group rows into it.
+  void Finish(const AggSpec& agg, ResultDigest* digest, Batch* out) {
+    for (const ResultDigest& d : digests) digest->Merge(d);
+    if (out != nullptr) *out = Concat(rows, agg.OutputWidth());
+  }
+};
 
 }  // namespace
 
@@ -148,8 +202,7 @@ struct PipelineExecutor::Shared {
   std::vector<uint32_t> chain_terminal;  // terminal op per chain
   std::vector<bool> materialized;        // chain output kept?
 
-  // queues[op * threads + t]
-  std::vector<std::unique_ptr<BoundedQueue>> queues;
+  ActivationQueues queues;
 
   // Per-join bucket hash tables and their insert locks.
   // tables_by_join[join][bucket]; join ids are assigned per (chain, step).
@@ -183,20 +236,30 @@ struct PipelineExecutor::Shared {
   std::vector<ResultDigest> thread_digests;          // final-chain digest
 
   // Two-phase aggregation (plans with an AggSpec): every slot folds the
-  // final-chain rows it produces into a private partial table; phase 2
-  // claims group-hash partitions off agg_cursor and merges every slot's
-  // share of the partition into one final table (disjoint partitions, so
-  // the merge needs no locks).
+  // final-chain rows it produces into a private partial table; AggMerge
+  // merges them after the run.
   const AggSpec* agg = nullptr;
   std::vector<AggTable> agg_partials;     // per slot
-  std::atomic<uint32_t> agg_cursor{0};    // next unclaimed partition
-  std::vector<AggTable> agg_finals;       // per partition
-  std::vector<Batch> agg_rows;            // per partition (materialize)
-  std::vector<ResultDigest> agg_digests;  // per partition
   std::atomic<uint64_t> stat_filtered{0};
 
-  // Pipelined row widths per (chain, step boundary).
-  std::vector<std::vector<uint32_t>> width_at;  // [chain][0..joins]
+  std::vector<uint32_t> out_width;  // per chain: its output row width
+
+  // Where slot `self`'s rows of `chain`'s output end (width `width`).
+  TerminalSink Terminal(uint32_t self, uint32_t chain, uint32_t width) {
+    TerminalSink sink;
+    const bool final_chain = chain + 1 == plan->chains.size();
+    if (final_chain && agg != nullptr) {
+      sink.agg = &agg_partials[self];
+      return sink;
+    }
+    if (final_chain) sink.digest = &thread_digests[self];
+    if (materialized[chain]) {
+      Batch& part = chain_partials[chain][self];
+      if (part.width() == 0) part = Batch(width);
+      sink.keep = &part;
+    }
+    return sink;
+  }
 
   std::mutex state_mu;                 // guards end/unblock transitions
   std::condition_variable work_cv;
@@ -211,27 +274,13 @@ struct PipelineExecutor::Shared {
   // than operators per stage, so sharing is the degenerate case).
   std::vector<std::atomic<uint64_t>> fp_range;
 
-  // Tracing: null = off (the only cost is this check). Cells are
-  // per-(slot, op) aggregates owned exclusively by the slot's holder;
-  // they flush into the sink at run end (EmitTraceCells), so cancelled
-  // runs still drain. chain_rows is unconditional: the per-chain actual
-  // output cardinality (rows produced by each chain's terminal op).
-  obs::TraceSink* trace = nullptr;
+  // Tracing (options.trace; null = off): span cells flush into the sink
+  // at run end (EmitTraceCells), so cancelled runs still drain.
+  // chain_rows is unconditional: the per-chain actual output cardinality
+  // (rows produced by each chain's terminal op).
   uint32_t slots = 0;
-  std::vector<obs::OpSpanAgg> trace_cells;  // [slot * nops + op]
-  std::vector<uint64_t> chain_rows;         // [chain * slots + slot]
-
-  // Plan-point row captures (options.captures). Empty = the hot paths
-  // skip every per-row check behind one `capturing` bool per activation.
-  std::vector<CaptureSink> captures;
-  void OfferCapture(uint32_t chain, uint32_t point, const int64_t* row,
-                    uint32_t width) {
-    for (const CaptureSink& cs : captures) {
-      if (cs.chain == chain && cs.point == point && cs.sink != nullptr) {
-        cs.sink->Offer(row, width);
-      }
-    }
-  }
+  SpanCells spans;
+  std::vector<uint64_t> chain_rows;  // [chain * slots + slot]
 
   // Stats.
   std::vector<uint64_t> busy;  // per thread, padded access is fine here
@@ -243,37 +292,9 @@ struct PipelineExecutor::Shared {
   std::atomic<uint64_t> stat_idle{0};
   std::atomic<uint64_t> stat_fp_safety{0};
 
-  // Per-thread outbox: data activations whose destination queue was full.
-  // Operator bodies never block — a failed push is staged here and the
-  // worker drains it at the top level (the iterative form of the paper's
-  // procedure-call suspension; see FlushOutbox).
-  std::vector<std::deque<Activation>> outbox;
-
-  // Per-thread scatter scratch, pooled by re-entrancy depth (helping
-  // while stuck nests activation executions).
-  struct Scratch {
-    std::vector<Batch> bucket;
-    std::vector<uint32_t> hit;
-    // Columnar kernels: selection vector, hash column and gathered
-    // key column reused across activations (mt/column_batch.h kernels).
-    SelVec sel;
-    std::vector<uint64_t> hashes;
-    std::vector<int64_t> keys;
-    AggTable::BatchScratch agg;
-  };
-  std::vector<std::vector<std::unique_ptr<Scratch>>> scratch_pool;
-  std::vector<size_t> scratch_depth;
-
-  Scratch& AcquireScratch(uint32_t self, uint32_t buckets) {
-    size_t d = scratch_depth[self]++;
-    if (d == scratch_pool[self].size()) {
-      auto sc = std::make_unique<Scratch>();
-      sc->bucket.resize(buckets);
-      scratch_pool[self].push_back(std::move(sc));
-    }
-    return *scratch_pool[self][d];
-  }
-  void ReleaseScratch(uint32_t self) { --scratch_depth[self]; }
+  // Per-slot outbox (see FlushOutbox) and scatter scratch.
+  std::vector<Outbox> outbox;
+  ScratchPool scratch;
 };
 
 
@@ -317,7 +338,6 @@ Result<ResultDigest> PipelineExecutor::Execute(
   sh.plan = &plan;
   sh.tables = tables;
   sh.ctx = ctx;
-  sh.captures = options_.captures;
   const uint32_t T = options_.threads;
   const uint32_t B = options_.buckets;
 
@@ -332,7 +352,6 @@ Result<ResultDigest> PipelineExecutor::Execute(
   if (materialized != nullptr && sh.agg == nullptr) {
     sh.materialized.back() = true;
   }
-  sh.width_at.resize(plan.chains.size());
   uint32_t njoins_total = 0;
   std::vector<uint32_t> scan_of_chain(plan.chains.size());
   std::vector<std::vector<uint32_t>> build_of(plan.chains.size());
@@ -355,17 +374,7 @@ Result<ResultDigest> PipelineExecutor::Execute(
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     const Chain& chain = plan.chains[c];
     const uint32_t k = static_cast<uint32_t>(chain.joins.size());
-    // Width bookkeeping (a projected table source emits only its kept
-    // columns, so the pipelined widths shrink with the plan's pruning).
-    auto src_width = [&](const Source& s) -> uint32_t {
-      return s.kind == Source::Kind::kTable
-                 ? plan.EffectiveTableWidth(s.index, tables[s.index]->width())
-                 : plan.OutputWidth(tables, s.index);
-    };
-    sh.width_at[c].push_back(src_width(chain.input));
-    for (const JoinStep& j : chain.joins) {
-      sh.width_at[c].push_back(sh.width_at[c].back() + src_width(j.build));
-    }
+    sh.out_width.push_back(plan.OutputWidth(tables, c));
 
     for (uint32_t j = 0; j < k; ++j) {
       auto op = std::make_unique<OpState>();
@@ -477,20 +486,7 @@ Result<ResultDigest> PipelineExecutor::Execute(
           }
           ++sh.cache_misses;
         }
-        if (options_.trace != nullptr) {
-          obs::TraceEvent ev;
-          ev.kind = op.prebuilt ? obs::EventKind::kCacheHit
-                                : obs::EventKind::kCacheMiss;
-          ev.op = static_cast<int32_t>(build_of[c][j]);
-          ev.start_ns = ev.end_ns = options_.trace->NowNs();
-          options_.trace->RecordShared(ev);
-        }
-        if (options_.recorder != nullptr) {
-          options_.recorder->Instant(op.prebuilt ? obs::EventKind::kCacheHit
-                                                 : obs::EventKind::kCacheMiss,
-                                     options_.recorder_query,
-                                     build_of[c][j]);
-        }
+        RecordCacheLookup(options_, build_of[c][j], op.prebuilt);
       }
     }
   }
@@ -500,21 +496,19 @@ Result<ResultDigest> PipelineExecutor::Execute(
   const uint32_t nops = static_cast<uint32_t>(sh.ops.size());
   const uint32_t slots = T + ctx->GuestSlots();
   for (uint32_t g = T; g < slots; ++g) sh.guest_free.push_back(g);
-  sh.queues.reserve(static_cast<size_t>(nops) * T);
-  for (uint32_t i = 0; i < nops * T; ++i) {
-    sh.queues.push_back(std::make_unique<BoundedQueue>());
-  }
+  sh.queues.Init(nops, T);
   sh.join_tables.resize(njoins_total);
   sh.bucket_mu.resize(njoins_total);
   uint32_t join_id = 0;
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     for (uint32_t j = 0; j < plan.chains[c].joins.size(); ++j, ++join_id) {
       if (sh.prebuilt[join_id] != nullptr) continue;  // shared tables
+      // A projected table source emits only its kept columns.
       const Source& b = plan.chains[c].joins[j].build;
-      uint32_t bw = b.kind == Source::Kind::kTable
-                        ? plan.EffectiveTableWidth(b.index,
-                                                   tables[b.index]->width())
-                        : plan.OutputWidth(tables, b.index);
+      const uint32_t bw =
+          b.kind == Source::Kind::kTable
+              ? plan.EffectiveTableWidth(b.index, tables[b.index]->width())
+              : sh.out_width[b.index];
       sh.join_tables[join_id].resize(B);
       sh.bucket_mu[join_id].resize(B);
       for (uint32_t bb = 0; bb < B; ++bb) {
@@ -536,16 +530,10 @@ Result<ResultDigest> PipelineExecutor::Execute(
   }
   sh.busy.assign(slots, 0);
   sh.outbox.resize(slots);
-  sh.scratch_pool.resize(slots);
-  sh.scratch_depth.assign(slots, 0);
+  sh.scratch.Init(slots, B);
   sh.slots = slots;
   sh.chain_rows.assign(plan.chains.size() * slots, 0);
-  if (options_.trace != nullptr) {
-    sh.trace = options_.trace;
-    sh.trace->EnsureSlots(slots);
-    sh.trace_cells.assign(static_cast<size_t>(slots) * nops,
-                          obs::OpSpanAgg{});
-  }
+  sh.spans.Init(options_.trace, slots, nops);
   sh.fp_range = std::vector<std::atomic<uint64_t>>(nops);
   for (auto& a : sh.fp_range) a.store(0);
   sh.ops_remaining.store(nops);
@@ -593,49 +581,18 @@ Result<ResultDigest> PipelineExecutor::Execute(
     return Status::Internal("pipeline execution failed");
   }
 
-  // Phase 2 of aggregation: merge the per-slot partial tables, one
-  // group-hash partition per claim, on workers rented through the same
-  // context (pooled stealing and the stop token apply unchanged).
-  uint64_t agg_groups = 0, agg_partial_entries = 0;
-  if (sh.agg != nullptr) {
-    for (const AggTable& t : sh.agg_partials) agg_partial_entries += t.groups();
-    // Merge partitions: enough for parallelism (a few per worker), but
-    // clamped below the join fragmentation degree — every partition
-    // re-scans every slot's partial table, so the scan work grows with P.
-    const uint32_t P = std::min(options_.buckets, std::max(16u, 4 * T));
-    sh.agg_finals.resize(P);
-    for (AggTable& t : sh.agg_finals) t.Init(sh.agg);
-    sh.agg_rows.assign(P, Batch());
-    sh.agg_digests.assign(P, {});
-    sh.agg_cursor.store(0);
-    const bool want_rows = materialized != nullptr;
-    ctx->SpawnWorkers(T, [this, want_rows](uint32_t) {
-      AggMergeWorker(want_rows);
-    });
-    if (sh.cancelled.load()) {
-      EmitTraceCells();
-      shared_.reset();
-      return Status::Cancelled("query cancelled during aggregation");
-    }
-    for (const AggTable& t : sh.agg_finals) agg_groups += t.groups();
+  AggMerge merge;
+  if (sh.agg != nullptr &&
+      !merge.Run(ctx, T, B, sh.agg, sh.agg_partials, materialized != nullptr)) {
+    EmitTraceCells();
+    shared_.reset();
+    return Status::Cancelled("query cancelled during aggregation");
   }
 
   ResultDigest digest;
   for (const auto& d : sh.thread_digests) digest.Merge(d);
   if (sh.agg != nullptr) {
-    for (const auto& d : sh.agg_digests) digest.Merge(d);
-    if (materialized != nullptr) {
-      Batch out(sh.agg->OutputWidth());
-      size_t total = 0;
-      for (const Batch& part : sh.agg_rows) total += part.rows();
-      out.Reserve(total);
-      for (Batch& part : sh.agg_rows) {
-        out.data().insert(out.data().end(), part.data().begin(),
-                          part.data().end());
-        part.Clear();
-      }
-      *materialized = std::move(out);
-    }
+    merge.Finish(*sh.agg, &digest, materialized);
   } else if (materialized != nullptr) {
     *materialized = std::move(sh.chain_outputs.back());
   }
@@ -651,30 +608,16 @@ Result<ResultDigest> PipelineExecutor::Execute(
     stats->build_cache_hits = sh.cache_hits;
     stats->build_cache_misses = sh.cache_misses;
     stats->rows_filtered = sh.stat_filtered.load();
-    stats->agg_groups = agg_groups;
-    stats->agg_partials = agg_partial_entries;
+    stats->agg_groups = merge.groups;
+    stats->agg_partials = merge.partial_entries;
     // Guest slots (cross-query helpers) are excluded: busy_per_thread
     // drives the per-worker imbalance measure of this query's rental.
     stats->busy_per_thread.assign(sh.busy.begin(), sh.busy.begin() + T);
-    stats->rows_per_chain.assign(plan.chains.size(), 0);
-    for (uint32_t c = 0; c < plan.chains.size(); ++c) {
-      for (uint32_t s = 0; s < slots; ++s) {
-        stats->rows_per_chain[c] += sh.chain_rows[c * slots + s];
-      }
-    }
+    stats->rows_per_chain = SumPerChain(sh.chain_rows, plan.chains.size());
   }
   EmitTraceCells();
   shared_.reset();
   return digest;
-}
-
-void PipelineExecutor::TraceActivation(uint32_t self, uint32_t op_id,
-                                       uint64_t t0, uint64_t rows_in,
-                                       uint64_t rows_out) {
-  Shared& sh = *shared_;
-  const size_t nops = sh.ops.size();
-  sh.trace_cells[self * nops + op_id].Add(t0, sh.trace->NowNs(), rows_in,
-                                          rows_out);
 }
 
 void PipelineExecutor::LabelSlot(uint32_t slot, obs::TraceEvent* ev) const {
@@ -687,46 +630,8 @@ void PipelineExecutor::LabelSlot(uint32_t slot, obs::TraceEvent* ev) const {
 }
 
 void PipelineExecutor::EmitTraceCells() {
-  Shared& sh = *shared_;
-  if (sh.trace == nullptr) return;
-  const size_t nops = sh.ops.size();
-  for (uint32_t s = 0; s < sh.slots; ++s) {
-    for (size_t i = 0; i < nops; ++i) {
-      const obs::OpSpanAgg& c = sh.trace_cells[s * nops + i];
-      if (c.empty()) continue;
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kSpan;
-      LabelSlot(s, &ev);
-      ev.op = static_cast<int32_t>(i);
-      ev.start_ns = c.first_ns;
-      ev.end_ns = c.last_ns;
-      ev.activations = c.activations;
-      ev.rows_in = c.rows_in;
-      ev.rows_out = c.rows_out;
-      ev.detail = c.busy_ns;
-      sh.trace->Record(s, ev);
-    }
-  }
-}
-
-void PipelineExecutor::AggMergeWorker(bool want_rows) {
-  Shared& sh = *shared_;
-  const uint32_t P = static_cast<uint32_t>(sh.agg_finals.size());
-  for (;;) {
-    if (sh.ctx->StopRequested()) {
-      sh.cancelled.store(true);
-      return;
-    }
-    uint32_t p = sh.agg_cursor.fetch_add(1, std::memory_order_relaxed);
-    if (p >= P) return;
-    AggTable& dst = sh.agg_finals[p];
-    for (const AggTable& part : sh.agg_partials) {
-      part.ForEachPartial(p, P, [&](const int64_t* row) {
-        dst.MergePartial(row);
-      });
-    }
-    dst.EmitFinal(want_rows ? &sh.agg_rows[p] : nullptr, &sh.agg_digests[p]);
-  }
+  shared_->spans.Emit(
+      [this](uint32_t slot, obs::TraceEvent* ev) { LabelSlot(slot, ev); });
 }
 
 void PipelineExecutor::AbandonPendingOffers() {
@@ -778,14 +683,14 @@ bool PipelineExecutor::RunOneForeign() {
   }
   bool ran = RunOne(slot);
   if (ran) FlushOutbox(slot);
-  if (ran && sh.trace != nullptr) {
+  if (ran && options_.trace != nullptr) {
     // Cross-query help is the session-level steal event, on a guest lane.
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::kSteal;
     LabelSlot(slot, &ev);
-    ev.start_ns = ev.end_ns = sh.trace->NowNs();
+    ev.start_ns = ev.end_ns = options_.trace->NowNs();
     ev.detail = 1;
-    sh.trace->Record(slot, ev);
+    options_.trace->Record(slot, ev);
   }
   if (ran && options_.recorder != nullptr) {
     options_.recorder->Instant(obs::EventKind::kSteal, options_.recorder_query,
@@ -827,19 +732,8 @@ void PipelineExecutor::OnOpEnded(uint32_t op_id) {
   // Merge chain partials when a terminal op ends.
   if (sh.chain_terminal[op.chain] == op_id) {
     if (sh.materialized[op.chain]) {
-      uint32_t width = sh.width_at[op.chain].back();
-      Batch merged(width);
-      size_t total = 0;
-      for (const Batch& part : sh.chain_partials[op.chain]) {
-        total += part.rows();
-      }
-      merged.Reserve(total);
-      for (Batch& part : sh.chain_partials[op.chain]) {
-        merged.data().insert(merged.data().end(), part.data().begin(),
-                             part.data().end());
-        part.Clear();
-      }
-      sh.chain_outputs[op.chain] = std::move(merged);
+      sh.chain_outputs[op.chain] =
+          Concat(sh.chain_partials[op.chain], sh.out_width[op.chain]);
     }
   }
 
@@ -897,68 +791,31 @@ void PipelineExecutor::OnOpEnded(uint32_t op_id) {
 }
 
 // FP: apportion threads across consumable, un-ended operators in
-// proportion to cost estimates (largest remainder; every such op gets at
-// least one thread when possible). Called under state_mu.
+// proportion to cost estimates (ApportionThreads). Called under state_mu.
 void PipelineExecutor::RecomputeFpAssignment() {
   Shared& sh = *shared_;
-  const uint32_t T = options_.threads;
   std::vector<uint32_t> active;
-  double total_cost = 0.0;
+  std::vector<double> costs;
   for (uint32_t i = 0; i < sh.ops.size(); ++i) {
     OpState& op = *sh.ops[i];
     if (op.consumable.load() && !op.ended.load()) {
       active.push_back(i);
-      total_cost += op.cost_estimate;
+      costs.push_back(op.cost_estimate);
     }
   }
   for (auto& a : sh.fp_range) a.store(0);  // empty range
-  if (active.empty()) return;
-  auto pack = [](uint32_t lo, uint32_t hi) {
-    return (static_cast<uint64_t>(lo) << 32) | hi;
-  };
-  if (active.size() >= T) {
-    // More operators than threads: operator k shares thread k mod T.
-    for (size_t k = 0; k < active.size(); ++k) {
-      uint32_t t = static_cast<uint32_t>(k) % T;
-      sh.fp_range[active[k]].store(pack(t, t + 1));
-    }
-    return;
-  }
-  // Largest-remainder apportionment with a floor of one thread per op.
-  const uint32_t rest = T - static_cast<uint32_t>(active.size());
-  std::vector<double> share(active.size());
-  std::vector<uint32_t> extra(active.size(), 0);
+  const std::vector<ThreadRange> ranges =
+      ApportionThreads(costs, options_.threads);
   for (size_t k = 0; k < active.size(); ++k) {
-    share[k] = total_cost > 0
-                   ? sh.ops[active[k]]->cost_estimate / total_cost * rest
-                   : static_cast<double>(rest) / active.size();
-    extra[k] = static_cast<uint32_t>(share[k]);
-  }
-  uint32_t used = 0;
-  for (uint32_t e : extra) used += e;
-  std::vector<size_t> order(active.size());
-  for (size_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return (share[a] - extra[a]) > (share[b] - extra[b]);
-  });
-  for (size_t k = 0; k < order.size() && used < rest; ++k, ++used) {
-    ++extra[order[k]];
-  }
-  uint32_t t = 0;
-  for (size_t k = 0; k < active.size(); ++k) {
-    uint32_t width = 1 + extra[k];
-    sh.fp_range[active[k]].store(pack(t, t + width));
-    t += width;
+    sh.fp_range[active[k]].store(ranges[k].Pack());
   }
 }
 
 bool PipelineExecutor::ThreadMayRun(uint32_t self, uint32_t op_id) const {
   if (options_.strategy != LocalStrategy::kFP) return true;
-  uint64_t packed =
-      shared_->fp_range[op_id].load(std::memory_order_relaxed);
-  uint32_t lo = static_cast<uint32_t>(packed >> 32);
-  uint32_t hi = static_cast<uint32_t>(packed);
-  return lo <= self && self < hi;
+  return ThreadRange::Unpack(
+             shared_->fp_range[op_id].load(std::memory_order_relaxed))
+      .Holds(self);
 }
 
 // ---------------------------------------------------------------------
@@ -1011,7 +868,7 @@ bool PipelineExecutor::RunOne(uint32_t self) {
     if (!op.consumable.load() || op.ended.load()) continue;
     if (!ThreadMayRun(self, op_id)) continue;
     Activation act;
-    if (sh.queues[op_id * T + primary]->TryPopFront(&act)) {
+    if (sh.queues.TryPopFront(op_id, primary, &act)) {
       ExecuteData(self, std::move(act));
       return true;
     }
@@ -1034,7 +891,7 @@ bool PipelineExecutor::RunOne(uint32_t self) {
     for (uint32_t d = 1; d < T; ++d) {
       uint32_t t = (primary + d) % T;
       Activation act;
-      if (sh.queues[op_id * T + t]->TryPopBack(&act)) {
+      if (sh.queues.TryPopBack(op_id, t, &act)) {
         sh.stat_nonprimary.fetch_add(1, std::memory_order_relaxed);
         ExecuteData(self, std::move(act));
         return true;
@@ -1068,319 +925,114 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
                                      size_t begin, size_t end) {
   Shared& sh = *shared_;
   OpState& op = *sh.ops[op_id];
-  const Batch& src = *op.src_batch;
-  const uint32_t B = options_.buckets;
   const PipelinePlan& plan = *sh.plan;
   const Chain& chain = plan.chains[op.chain];
-  const uint64_t tr0 = sh.trace != nullptr ? sh.trace->NowNs() : 0;
-  const bool capturing = !sh.captures.empty();
-  uint64_t rows_out = 0;
-
-  // Scan-level predicates: a base table's rows are filtered where they
-  // enter the pipeline, so rejected rows never cost a queue operation.
-  const std::vector<Predicate>* preds =
-      op.src.kind == Source::Kind::kTable ? plan.FiltersFor(op.src.index)
-                                          : nullptr;
-  // Column pruning: a table source with a projection emits only its kept
-  // columns. Plan column references are already in projected coordinates,
-  // so key columns map back to source coordinates while reading the
-  // unprojected rows; chain sources were emitted pruned and need no map.
-  const std::vector<uint32_t>* proj =
-      op.src.kind == Source::Kind::kTable ? plan.ProjectionFor(op.src.index)
-                                          : nullptr;
-  const uint32_t out_w =
-      proj != nullptr ? static_cast<uint32_t>(proj->size()) : src.width();
-  auto src_col = [&](uint32_t col) {
-    return proj != nullptr ? (*proj)[col] : col;
-  };
-  auto append = [&](Batch& b, const int64_t* row) {
-    if (proj != nullptr) {
-      b.AppendRowProjected(row, *proj);
-    } else {
-      b.AppendRow(row);
-    }
-  };
-  // Front end shared by the branches below: one selection vector over
-  // the morsel (per-predicate compare loops), then one hash column over
-  // the survivors' key values. Leaves sc.sel/sc.hashes set; returns the
-  // survivor count.
-  auto select_and_hash = [&](auto& sc, uint32_t key_col,
-                             bool want_hash) -> size_t {
-    const size_t n = end - begin;
-    size_t m = n;
-    const uint32_t* selp = nullptr;
-    if (preds != nullptr) {
-      m = FilterBatch(src, begin, n, *preds, &sc.sel);
-      sh.stat_filtered.fetch_add(n - m, std::memory_order_relaxed);
-      selp = sc.sel.data();
-    }
-    if (want_hash) {
-      sc.hashes.resize(m);
-      HashStrided(src.data().data() + begin * src.width() + key_col,
-                  src.width(), selp, m, sc.hashes.data());
-    }
-    return m;
-  };
-
-  if (op.kind == COp::kBuild) {
-    // Scatter build rows into per-bucket insert batches.
-    const JoinStep& js = chain.joins[op.step];
-    auto& sc = sh.AcquireScratch(self, B);
-    auto& scratch = sc.bucket;
-    auto& hit = sc.hit;
-    const size_t m = select_and_hash(sc, src_col(js.build_col), true);
-    const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-    for (size_t i = 0; i < m; ++i) {
-      const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
-      uint32_t bucket = static_cast<uint32_t>(sc.hashes[i] % B);
-      Batch& b = scratch[bucket];
-      if (b.width() == 0) b = Batch(out_w);
-      if (b.empty()) hit.push_back(bucket);
-      append(b, row);
-    }
-    rows_out = m;
-    for (uint32_t bucket : hit) {
-      Emit(self, op_id, bucket, std::move(scratch[bucket]));
-      scratch[bucket] = Batch();
-    }
-    hit.clear();
-    sh.ReleaseScratch(self);
-    if (sh.trace != nullptr) {
-      TraceActivation(self, op_id, tr0, end - begin, rows_out);
-    }
-    return;
-  }
-
-  // Scan: pure-scan chains finalize directly; otherwise scatter into the
-  // first probe's buckets.
+  const uint64_t tr0 = sh.spans.Now();
+  const bool capturing = !options_.captures.empty();
+  // Scan-level predicates filter a base table's rows where they enter the
+  // pipeline, and a projected table emits only its kept columns.
+  const ScanSpec scan = ScanSpec::For(plan, op.src, *op.src_batch);
+  ScratchPool::Lease sc(sh.scratch, self);
+  size_t kept = 0;
   if (chain.joins.empty()) {
-    const bool final_chain = op.chain + 1 == plan.chains.size();
-    const bool to_agg = final_chain && sh.agg != nullptr;
-    auto& sc = sh.AcquireScratch(self, B);
-    const size_t m = select_and_hash(sc, 0, false);
-    const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-    rows_out = m;
-    if (to_agg) {
-      if (capturing) {
-        // Capture points see the (projected) chain-output rows the
-        // batched accumulate below folds without per-row access.
-        std::vector<int64_t> buf;
-        for (size_t i = 0; i < m; ++i) {
-          const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
-          if (proj != nullptr) {
-            buf.clear();
-            for (uint32_t cc : *proj) buf.push_back(row[cc]);
-            row = buf.data();
-          }
-          sh.OfferCapture(op.chain, 0, row, out_w);
+    // A join-less chain's scan is its terminal op: the passing rows are
+    // the chain's output.
+    const Batch& src = *scan.src;
+    const uint32_t w = scan.out_width();
+    kept = end - begin;
+    const uint32_t* selp = nullptr;
+    if (scan.preds != nullptr) {
+      kept = FilterBatch(src, begin, kept, *scan.preds, &sc->sel);
+      selp = sc->sel.data();
+    }
+    const TerminalSink sink = sh.Terminal(self, op.chain, w);
+    sc->row.resize(w);
+    if (sink.agg == nullptr || capturing) {
+      for (size_t i = 0; i < kept; ++i) {
+        const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
+        if (scan.proj != nullptr) {
+          for (uint32_t c = 0; c < w; ++c) sc->row[c] = row[(*scan.proj)[c]];
+          row = sc->row.data();
         }
+        OfferCapture(options_.captures, op.chain, 0, row, w);
+        if (sink.agg == nullptr) sink(row, w);
       }
+    }
+    if (sink.agg != nullptr) {
       // Phase 1 of the two-phase aggregation, batched: one GroupHash
       // column plus column-at-a-time key gathers; the projection (if
       // any) maps the spec's pruned coordinates back to source ones.
-      sh.agg_partials[self].AccumulateBatch(
-          src, begin, selp, m, proj != nullptr ? proj->data() : nullptr,
-          &sc.agg);
-    } else {
-      std::vector<int64_t> buf;
-      for (size_t i = 0; i < m; ++i) {
-        const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
-        if (proj != nullptr) {
-          buf.clear();
-          for (uint32_t cc : *proj) buf.push_back(row[cc]);
-          row = buf.data();
-        }
-        if (capturing) sh.OfferCapture(op.chain, 0, row, out_w);
-        if (final_chain) sh.thread_digests[self].Add(row, out_w);
-        if (sh.materialized[op.chain]) {
-          Batch& part = sh.chain_partials[op.chain][self];
-          if (part.width() == 0) part = Batch(out_w);
-          part.AppendRow(row);
-        }
-      }
+      sink.agg->AccumulateBatch(
+          src, begin, selp, kept,
+          scan.proj != nullptr ? scan.proj->data() : nullptr, &sc->agg);
     }
-    sh.ReleaseScratch(self);
-    // A join-less chain's scan is its terminal op: the passing rows are
-    // the chain's actual output cardinality.
-    sh.chain_rows[op.chain * sh.slots + self] += rows_out;
-    if (sh.trace != nullptr) {
-      TraceActivation(self, op_id, tr0, end - begin, rows_out);
-    }
-    return;
+    sh.chain_rows[op.chain * sh.slots + self] += kept;
+  } else {
+    // A build scatters into its own buckets, a whole morsel per insert;
+    // a scan feeds the first probe in batch_rows batches, and its output
+    // is capture point 0.
+    const bool build = op.kind == COp::kBuild;
+    const uint32_t dst = build ? op_id : op.consumer;
+    kept = ScatterMorsel(
+        scan, begin, end,
+        build ? chain.joins[op.step].build_col : chain.joins[0].probe_col,
+        options_.buckets, build ? SIZE_MAX : options_.batch_rows, *sc,
+        [&](uint32_t bucket, Batch& rows) {
+          Emit(self, dst, bucket, std::move(rows));
+        },
+        [&](const int64_t* row, uint32_t w) {
+          if (!build) OfferCapture(options_.captures, op.chain, 0, row, w);
+        });
   }
-  const JoinStep& js = chain.joins[0];
-  auto& sc = sh.AcquireScratch(self, B);
-  auto& scratch = sc.bucket;
-  auto& hit = sc.hit;
-  auto scatter = [&](const int64_t* row, uint32_t bucket) {
-    Batch& b = scratch[bucket];
-    if (b.width() == 0) b = Batch(out_w);
-    if (b.empty()) hit.push_back(bucket);
-    append(b, row);
-    // Scan output = capture point 0 (offer the appended — projected —
-    // row, which is what the reference executor's scan batch holds).
-    if (capturing) sh.OfferCapture(op.chain, 0, b.row(b.rows() - 1), out_w);
-    if (b.rows() >= options_.batch_rows) {
-      Emit(self, op.consumer, bucket, std::move(b));
-      scratch[bucket] = Batch();
-      hit.erase(std::find(hit.begin(), hit.end(), bucket));
-    }
-  };
-  const size_t m = select_and_hash(sc, src_col(js.probe_col), true);
-  const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-  for (size_t i = 0; i < m; ++i) {
-    const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
-    scatter(row, static_cast<uint32_t>(sc.hashes[i] % B));
+  if (scan.preds != nullptr) {
+    sh.stat_filtered.fetch_add(end - begin - kept, std::memory_order_relaxed);
   }
-  rows_out = m;
-  for (uint32_t bucket : hit) {
-    Emit(self, op.consumer, bucket, std::move(scratch[bucket]));
-    scratch[bucket] = Batch();
-  }
-  hit.clear();
-  sh.ReleaseScratch(self);
-  if (sh.trace != nullptr) {
-    TraceActivation(self, op_id, tr0, end - begin, rows_out);
-  }
+  if (sh.spans.on()) sh.spans.Add(self, op_id, tr0, end - begin, kept);
 }
 
 void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
   Shared& sh = *shared_;
   OpState& op = *sh.ops[act.op];
-  const uint32_t B = options_.buckets;
-  const PipelinePlan& plan = *sh.plan;
-  const Chain& chain = plan.chains[op.chain];
+  const Chain& chain = sh.plan->chains[op.chain];
   sh.stat_data.fetch_add(1, std::memory_order_relaxed);
   ++sh.busy[self];
-  const uint64_t tr0 = sh.trace != nullptr ? sh.trace->NowNs() : 0;
-  const bool capturing = !sh.captures.empty();
+  const uint64_t tr0 = sh.spans.Now();
   const uint64_t rows_in = act.rows.rows();
-
+  uint64_t rows_out = rows_in;
   if (op.kind == COp::kBuild) {
-    {
-      RowTable& table = sh.join_tables[op.join][act.bucket];
-      std::lock_guard<std::mutex> lock(*sh.bucket_mu[op.join][act.bucket]);
-      table.InsertBatch(act.rows);
-    }
-    if (sh.trace != nullptr) {
-      TraceActivation(self, act.op, tr0, rows_in, rows_in);
-    }
-    FinishActivation(act.op);
-    return;
-  }
-
-  // Probe step. JoinTable resolves shared (cached) vs locally built.
-  const JoinStep& js = chain.joins[op.step];
-  const RowTable& table = sh.JoinTable(op.join, act.bucket);
-  const uint32_t in_width = act.rows.width();
-  const bool last_step = op.step + 1 == chain.joins.size();
-  const bool final_chain = op.chain + 1 == plan.chains.size();
-  const uint32_t out_width = in_width + table.width();
-
-  if (last_step) {
-    const bool to_agg = final_chain && sh.agg != nullptr;
-    Batch* part = nullptr;
-    if (sh.materialized[op.chain]) {
-      part = &sh.chain_partials[op.chain][self];
-      if (part->width() == 0) *part = Batch(out_width);
-    }
-    AggTable* agg_part = to_agg ? &sh.agg_partials[self] : nullptr;
-    std::vector<int64_t> out_row(out_width);
-    uint64_t produced = 0;
-    auto on_match = [&](const int64_t* row, const int64_t* brow) {
-      std::copy(row, row + in_width, out_row.begin());
-      std::copy(brow, brow + table.width(), out_row.begin() + in_width);
-      ++produced;
-      // Last probe output = chain output = capture point J.
-      if (capturing) {
-        sh.OfferCapture(op.chain,
-                        static_cast<uint32_t>(chain.joins.size()),
-                        out_row.data(), out_width);
-      }
-      if (agg_part != nullptr) {
-        // Phase 1 of the two-phase aggregation: fold the result row
-        // into this slot's private partial table.
-        agg_part->Accumulate(out_row.data());
-        return;
-      }
-      if (final_chain) {
-        sh.thread_digests[self].Add(out_row.data(), out_width);
-      }
-      if (part != nullptr) part->AppendRow(out_row.data());
+    InsertBuild(sh.join_tables[op.join][act.bucket],
+                *sh.bucket_mu[op.join][act.bucket], act.rows);
+  } else {
+    // Probe step. JoinTable resolves shared (cached) vs locally built.
+    // The output of step s (0-based) is capture point s + 1.
+    const uint32_t probe_col = chain.joins[op.step].probe_col;
+    const RowTable& table = sh.JoinTable(op.join, act.bucket);
+    auto capture = [&](const int64_t* row, uint32_t w) {
+      OfferCapture(options_.captures, op.chain, op.step + 1, row, w);
     };
-    if (act.rows.rows() > 0) {
-      // Batched probe: gather the key column, hash it in one pass, then
-      // walk the chains with a prefetch window (RowTable::ProbeBatch).
-      auto& sc = sh.AcquireScratch(self, B);
-      const size_t n = act.rows.rows();
-      sc.keys.resize(n);
-      sc.hashes.resize(n);
-      GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr,
-                    n, sc.keys.data());
-      HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-      table.ProbeBatch(sc.keys.data(), sc.hashes.data(), n,
-                       [&](size_t i, const int64_t* brow) {
-                         on_match(act.rows.row(i), brow);
-                       });
-      sh.ReleaseScratch(self);
+    ScratchPool::Lease sc(sh.scratch, self);
+    if (op.step + 1 == chain.joins.size()) {
+      // The last probe is its chain's terminal op: its output rows are the
+      // chain's actual cardinality (pre-aggregation on agg plans).
+      const TerminalSink sink =
+          sh.Terminal(self, op.chain, act.rows.width() + table.width());
+      rows_out = ProbeRows(act.rows, probe_col, table, *sc,
+                           [&](const int64_t* row, uint32_t w) {
+                             capture(row, w);
+                             sink(row, w);
+                           });
+      sh.chain_rows[op.chain * sh.slots + self] += rows_out;
+    } else {
+      rows_out = ProbeForward(
+          act.rows, probe_col, table, chain.joins[op.step + 1].probe_col,
+          options_.buckets, options_.batch_rows, *sc,
+          [&](uint32_t bucket, Batch& rows) {
+            Emit(self, op.consumer, bucket, std::move(rows));
+          },
+          capture);
     }
-    // The last probe is its chain's terminal op: its output rows are the
-    // chain's actual cardinality (pre-aggregation on agg plans).
-    sh.chain_rows[op.chain * sh.slots + self] += produced;
-    if (sh.trace != nullptr) {
-      TraceActivation(self, act.op, tr0, rows_in, produced);
-    }
-    FinishActivation(act.op);
-    return;
   }
-
-  const JoinStep& next = chain.joins[op.step + 1];
-  auto& sc = sh.AcquireScratch(self, B);
-  auto& scratch = sc.bucket;
-  auto& hit = sc.hit;
-  std::vector<int64_t> out_row(out_width);
-  uint64_t produced = 0;
-  auto on_match = [&](const int64_t* row, const int64_t* brow) {
-    std::copy(row, row + in_width, out_row.begin());
-    std::copy(brow, brow + table.width(), out_row.begin() + in_width);
-    ++produced;
-    // Output of probe step s (0-based) = capture point s + 1.
-    if (capturing) {
-      sh.OfferCapture(op.chain, op.step + 1, out_row.data(), out_width);
-    }
-    uint32_t bucket =
-        static_cast<uint32_t>(HashKey(out_row[next.probe_col]) % B);
-    Batch& b = scratch[bucket];
-    if (b.width() == 0) b = Batch(out_width);
-    if (b.empty()) hit.push_back(bucket);
-    b.AppendRow(out_row.data());
-    if (b.rows() >= options_.batch_rows) {
-      Emit(self, op.consumer, bucket, std::move(b));
-      scratch[bucket] = Batch();
-      hit.erase(std::find(hit.begin(), hit.end(), bucket));
-    }
-  };
-  if (act.rows.rows() > 0) {
-    const size_t n = act.rows.rows();
-    sc.keys.resize(n);
-    sc.hashes.resize(n);
-    GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr, n,
-                  sc.keys.data());
-    HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-    table.ProbeBatch(sc.keys.data(), sc.hashes.data(), n,
-                     [&](size_t i, const int64_t* brow) {
-                       on_match(act.rows.row(i), brow);
-                     });
-  }
-  for (uint32_t bucket : hit) {
-    Emit(self, op.consumer, bucket, std::move(scratch[bucket]));
-    scratch[bucket] = Batch();
-  }
-  hit.clear();
-  sh.ReleaseScratch(self);
-  if (sh.trace != nullptr) {
-    TraceActivation(self, act.op, tr0, rows_in, produced);
-  }
+  if (sh.spans.on()) sh.spans.Add(self, act.op, tr0, rows_in, rows_out);
   FinishActivation(act.op);
 }
 
@@ -1407,19 +1059,12 @@ void PipelineExecutor::FinishActivation(uint32_t op_id) {
 void PipelineExecutor::Emit(uint32_t self, uint32_t dst_op, uint32_t bucket,
                             Batch&& rows) {
   Shared& sh = *shared_;
-  const uint32_t T = options_.threads;
-  OpState& dst = *sh.ops[dst_op];
-  dst.data_pending.fetch_add(1);
+  sh.ops[dst_op]->data_pending.fetch_add(1);
   sh.stat_emitted.fetch_add(1, std::memory_order_relaxed);
-  Activation act;
-  act.op = dst_op;
-  act.bucket = bucket;
-  act.rows = std::move(rows);
-  uint32_t target = bucket % T;
-  if (!sh.queues[dst_op * T + target]->TryPush(std::move(act),
-                                               options_.queue_capacity)) {
+  Activation act{dst_op, bucket, std::move(rows)};
+  if (!sh.queues.TryPush(act, options_.queue_capacity)) {
     sh.stat_escapes.fetch_add(1, std::memory_order_relaxed);
-    sh.outbox[self].push_back(std::move(act));
+    sh.outbox[self].Push(std::move(act));
   }
 }
 
@@ -1436,29 +1081,16 @@ void PipelineExecutor::Emit(uint32_t self, uint32_t dst_op, uint32_t bucket,
 // overflow.
 void PipelineExecutor::FlushOutbox(uint32_t self) {
   Shared& sh = *shared_;
-  const uint32_t T = options_.threads;
-  auto& outbox = sh.outbox[self];
+  Outbox& outbox = sh.outbox[self];
   uint32_t stalls = 0;
   while (!outbox.empty()) {
     // A cancelled run abandons staged activations (the whole execution
     // is being torn down); normal completion never reaches done with a
     // non-empty outbox (pending activations keep their op alive).
     if (sh.cancelled.load(std::memory_order_relaxed)) return;
-    // Try to push every staged activation once.
-    size_t n = outbox.size();
-    bool progressed = false;
-    for (size_t i = 0; i < n;) {
-      Activation& act = outbox[i];
-      uint32_t target = act.bucket % T;
-      if (sh.queues[act.op * T + target]->TryPush(std::move(act),
-                                                  options_.queue_capacity)) {
-        outbox.erase(outbox.begin() + static_cast<long>(i));
-        --n;
-        progressed = true;
-      } else {
-        ++i;
-      }
-    }
+    const bool progressed = outbox.Retry([&](Activation& act) {
+      return sh.queues.TryPush(act, options_.queue_capacity);
+    });
     if (outbox.empty()) return;
     if (progressed) {
       stalls = 0;
@@ -1488,7 +1120,7 @@ bool PipelineExecutor::RunAllowedWhileStuck(uint32_t self,
   // Per-chain minimum stuck position: ops of that chain strictly before
   // this position are forbidden (they would feed the congested queue).
   std::vector<uint32_t> min_stuck_pos(sh.chain_terminal.size(), UINT32_MAX);
-  for (const Activation& act : sh.outbox[self]) {
+  for (const Activation& act : sh.outbox[self].items()) {
     OpState& dst = *sh.ops[act.op];
     if (dst.kind == COp::kBuild) continue;  // self-feeding, nothing upstream
     uint32_t& cur = min_stuck_pos[dst.chain];
@@ -1508,21 +1140,17 @@ bool PipelineExecutor::RunAllowedWhileStuck(uint32_t self,
     uint32_t op_id = nops - 1 - k;
     OpState& op = *sh.ops[op_id];
     if (!op.consumable.load() || op.ended.load() || !allowed(op_id)) continue;
-    if (fp) {
-      // FP threads drain only destinations of their own stuck pushes.
-      bool is_stuck_dst = false;
-      for (const Activation& a : sh.outbox[self]) {
-        if (a.op == op_id) {
-          is_stuck_dst = true;
-          break;
-        }
-      }
-      if (!is_stuck_dst) continue;
+    // FP threads drain only destinations of their own stuck pushes.
+    const auto& stuck = sh.outbox[self].items();
+    if (fp && std::none_of(stuck.begin(), stuck.end(), [&](const auto& a) {
+          return a.op == op_id;
+        })) {
+      continue;
     }
     for (uint32_t d = 0; d < T; ++d) {
       uint32_t t = (self + d) % T;
       Activation act;
-      if (sh.queues[op_id * T + t]->TryPopFront(&act)) {
+      if (sh.queues.TryPopFront(op_id, t, &act)) {
         if (fp) sh.stat_fp_safety.fetch_add(1, std::memory_order_relaxed);
         if (d != 0 && !fp) {
           sh.stat_nonprimary.fetch_add(1, std::memory_order_relaxed);
@@ -1566,7 +1194,6 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
   uint64_t morsel_count = 0;
   uint64_t cache_hits = 0, cache_misses = 0;
   std::atomic<uint64_t> filtered{0};
-  const bool capturing = !options_.captures.empty();
 
   // Tracing: SP has no per-activation queues, so spans are coarse — one
   // per (thread, phase): build phases on the build op's id, the fused
@@ -1574,6 +1201,20 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
   // numbering as DP/FP (B(c,*), S(c), P(c,*)).
   obs::TraceSink* trace = options_.trace;
   if (trace != nullptr) trace->EnsureSlots(T);
+  auto record_phase = [trace](uint32_t t, uint32_t op, uint64_t t0,
+                              uint64_t acts, uint64_t rin, uint64_t rout) {
+    if (trace == nullptr || acts == 0) return;
+    obs::TraceEvent ev;
+    ev.worker = static_cast<int32_t>(t);
+    ev.op = static_cast<int32_t>(op);
+    ev.start_ns = t0;
+    ev.end_ns = trace->NowNs();
+    ev.activations = acts;
+    ev.rows_in = rin;
+    ev.rows_out = rout;
+    ev.detail = ev.end_ns - ev.start_ns;
+    trace->Record(t, ev);
+  };
   std::vector<uint32_t> op_base(plan.chains.size());
   {
     uint32_t base = 0;
@@ -1584,22 +1225,16 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
   }
   std::vector<uint64_t> chain_rows(plan.chains.size() * T, 0);
 
-  auto batch_of = [&](const Source& s) -> const Batch& {
-    return s.kind == Source::Kind::kTable ? tables[s.index]->batch
-                                          : chain_outputs[s.index];
-  };
-  auto filters_of = [&](const Source& s) -> const std::vector<Predicate>* {
-    return s.kind == Source::Kind::kTable ? plan.FiltersFor(s.index)
-                                          : nullptr;
-  };
-  auto cache_key_of = [&](const JoinStep& js, BuildKey* key) {
-    return BuildCacheKeyFor(options_, plan, B, js.build, js.build_col, key);
+  auto scan_of = [&](const Source& s) {
+    return ScanSpec::For(plan, s,
+                         s.kind == Source::Kind::kTable
+                             ? tables[s.index]->batch
+                             : chain_outputs[s.index]);
   };
   auto cache_cancelled = [ctx] { return ctx->StopRequested(); };
 
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     const Chain& chain = plan.chains[c];
-    const bool final_chain = c + 1 == plan.chains.size();
 
     // Build phase: every join's bucket tables are either taken shared
     // from the session cache or built cooperatively (threads claim
@@ -1609,25 +1244,13 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
     std::vector<std::shared_ptr<const BucketTables>> join_tables(
         chain.joins.size());
     for (size_t j = 0; j < chain.joins.size(); ++j) {
+      const JoinStep& js = chain.joins[j];
       BuildKey key;
-      const bool cacheable = cache_key_of(chain.joins[j], &key);
       bool publish = false;
-      if (cacheable) {
+      if (BuildCacheKeyFor(options_, plan, B, js.build, js.build_col, &key)) {
         auto got = options_.build_cache->Acquire(key, cache_cancelled);
         const bool hit = got.tables != nullptr;
-        if (trace != nullptr) {
-          obs::TraceEvent ev;
-          ev.kind = hit ? obs::EventKind::kCacheHit
-                        : obs::EventKind::kCacheMiss;
-          ev.op = static_cast<int32_t>(op_base[c] + j);
-          ev.start_ns = ev.end_ns = trace->NowNs();
-          trace->RecordShared(ev);
-        }
-        if (options_.recorder != nullptr) {
-          options_.recorder->Instant(hit ? obs::EventKind::kCacheHit
-                                         : obs::EventKind::kCacheMiss,
-                                     options_.recorder_query, op_base[c] + j);
-        }
+        RecordCacheLookup(options_, op_base[c] + j, hit);
         if (hit) {
           join_tables[j] = std::move(got.tables);
           ++cache_hits;
@@ -1636,91 +1259,39 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
         publish = got.builder;
         ++cache_misses;
       }
-      const std::vector<Predicate>* build_preds =
-          filters_of(chain.joins[j].build);
-      const Batch& build = batch_of(chain.joins[j].build);
-      // A pruned table build stores only its kept columns; the plan's
-      // build_col indexes the projected row, so map it back to the source
-      // coordinate for hashing the unprojected rows.
-      const std::vector<uint32_t>* bproj =
-          chain.joins[j].build.kind == Source::Kind::kTable
-              ? plan.ProjectionFor(chain.joins[j].build.index)
-              : nullptr;
-      const uint32_t bw = bproj != nullptr
-                              ? static_cast<uint32_t>(bproj->size())
-                              : build.width();
-      const uint32_t key_src = bproj != nullptr
-                                   ? (*bproj)[chain.joins[j].build_col]
-                                   : chain.joins[j].build_col;
+      const ScanSpec scan = scan_of(js.build);
+      const size_t rows = scan.src->rows();
       auto built = std::make_shared<BucketTables>(B);
-      std::vector<std::unique_ptr<std::mutex>> bucket_mu(B);
-      for (uint32_t b = 0; b < B; ++b) {
-        (*built)[b].Init(bw, chain.joins[j].build_col);
-        bucket_mu[b] = std::make_unique<std::mutex>();
-      }
+      std::vector<std::mutex> bucket_mu(B);
+      for (RowTable& t : *built) t.Init(scan.out_width(), js.build_col);
       std::atomic<size_t> cursor{0};
       ctx->SpawnWorkers(T, [&](uint32_t t) {
         // Scatter each morsel into local per-bucket batches, then take
         // each bucket lock once per morsel (amortized locking).
-        std::vector<Batch> local(B);
-        std::vector<uint32_t> touched;
-        SelVec sel;
-        std::vector<uint64_t> hashes;
+        Scratch sc;
+        sc.bucket.resize(B);
         const uint64_t tr0 = trace != nullptr ? trace->NowNs() : 0;
         uint64_t acts = 0, rin = 0, rout = 0;
-        auto scatter = [&](const int64_t* row, uint32_t bucket) {
-          Batch& b = local[bucket];
-          if (b.width() == 0) b = Batch(bw);
-          if (b.empty()) touched.push_back(bucket);
-          if (bproj != nullptr) {
-            b.AppendRowProjected(row, *bproj);
-          } else {
-            b.AppendRow(row);
-          }
-          ++rout;
-        };
         while (!ctx->StopRequested()) {
-          size_t begin = cursor.fetch_add(options_.morsel_rows);
-          if (begin >= build.rows()) break;
-          size_t end =
-              std::min<size_t>(begin + options_.morsel_rows, build.rows());
-          const size_t n = end - begin;
-          size_t m = n;
-          const uint32_t* selp = nullptr;
-          if (build_preds != nullptr) {
-            m = FilterBatch(build, begin, n, *build_preds, &sel);
-            filtered.fetch_add(n - m, std::memory_order_relaxed);
-            selp = sel.data();
+          const size_t begin = cursor.fetch_add(options_.morsel_rows);
+          if (begin >= rows) break;
+          const size_t end = std::min<size_t>(begin + options_.morsel_rows,
+                                              rows);
+          const size_t kept = ScatterMorsel(
+              scan, begin, end, js.build_col, B, SIZE_MAX, sc,
+              [&](uint32_t bucket, Batch& part) {
+                InsertBuild((*built)[bucket], bucket_mu[bucket], part);
+              },
+              [](const int64_t*, uint32_t) {});
+          if (scan.preds != nullptr) {
+            filtered.fetch_add(end - begin - kept, std::memory_order_relaxed);
           }
-          hashes.resize(m);
-          HashStrided(build.data().data() + begin * build.width() + key_src,
-                      build.width(), selp, m, hashes.data());
-          for (size_t i = 0; i < m; ++i) {
-            scatter(build.row(begin + (selp != nullptr ? selp[i] : i)),
-                    static_cast<uint32_t>(hashes[i] % B));
-          }
-          for (uint32_t bucket : touched) {
-            std::lock_guard<std::mutex> lock(*bucket_mu[bucket]);
-            (*built)[bucket].InsertBatch(local[bucket]);
-            local[bucket].Clear();
-          }
-          touched.clear();
           ++busy[t];
           ++acts;
           rin += end - begin;
+          rout += kept;
         }
-        if (trace != nullptr && acts > 0) {
-          obs::TraceEvent ev;
-          ev.worker = static_cast<int32_t>(t);
-          ev.op = static_cast<int32_t>(op_base[c] + j);
-          ev.start_ns = tr0;
-          ev.end_ns = trace->NowNs();
-          ev.activations = acts;
-          ev.rows_in = rin;
-          ev.rows_out = rout;
-          ev.detail = ev.end_ns - ev.start_ns;
-          trace->Record(t, ev);
-        }
+        record_phase(t, op_base[c] + j, tr0, acts, rin, rout);
       });
       if (ctx->StopRequested()) {
         if (publish) options_.build_cache->Abandon(key);
@@ -1728,67 +1299,45 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
       }
       if (publish) options_.build_cache->Publish(key, built);
       join_tables[j] = std::move(built);
-      morsel_count +=
-          (build.rows() + options_.morsel_rows - 1) / options_.morsel_rows;
+      morsel_count += (rows + options_.morsel_rows - 1) / options_.morsel_rows;
     }
 
     // Probe phase: every thread drives scan morsels through the whole
     // chain with nested procedure calls.
-    const std::vector<Predicate>* input_preds = filters_of(chain.input);
-    const Batch& input = batch_of(chain.input);
-    const std::vector<uint32_t>* iproj =
-        chain.input.kind == Source::Kind::kTable
-            ? plan.ProjectionFor(chain.input.index)
-            : nullptr;
-    const uint32_t in_w = iproj != nullptr
-                              ? static_cast<uint32_t>(iproj->size())
-                              : input.width();
-    uint32_t out_width = in_w;
-    for (const JoinStep& j : chain.joins) {
-      out_width += j.build.kind == Source::Kind::kTable
-                       ? plan.EffectiveTableWidth(j.build.index,
-                                                  batch_of(j.build).width())
-                       : batch_of(j.build).width();
-    }
-    const bool to_agg = final_chain && agg != nullptr;
+    const ScanSpec scan = scan_of(chain.input);
+    const Batch& input = *scan.src;
+    const uint32_t in_w = scan.out_width();
+    const uint32_t out_width = plan.OutputWidth(tables, c);
     std::vector<Batch> partials(T);
     std::atomic<size_t> cursor{0};
-    // Plan-point captures: row_buf's prefix at walk level `step` IS the
-    // output of plan point `step` (0 = scan output, J = chain output), so
-    // offering at each level covers every point exactly once per row.
-    auto offer_capture = [&](uint32_t point, const int64_t* row,
-                             uint32_t width) {
-      for (const CaptureSink& cs : options_.captures) {
-        if (cs.chain == c && cs.point == point && cs.sink != nullptr) {
-          cs.sink->Offer(row, width);
-        }
-      }
-    };
     ctx->SpawnWorkers(T, [&](uint32_t t) {
       std::vector<int64_t> row_buf(out_width);
       SelVec sel;
       const uint64_t tr0 = trace != nullptr ? trace->NowNs() : 0;
       uint64_t acts = 0, rin = 0;
       uint64_t produced = 0;
-      // Recursive pipeline walker: step j consumes the prefix of
-      // row_buf filled so far.
-      auto walk = [&](auto&& self_fn, size_t step,
-                      uint32_t filled) -> void {
-        if (capturing) {
-          offer_capture(static_cast<uint32_t>(step), row_buf.data(), filled);
+      TerminalSink sink;
+      if (c + 1 == plan.chains.size()) {
+        if (agg != nullptr) {
+          sink.agg = &agg_partials[t];
+        } else {
+          sink.digest = &digests[t];
         }
+      }
+      if (materialized[c]) {
+        partials[t] = Batch(out_width);
+        sink.keep = &partials[t];
+      }
+      // Recursive pipeline walker: step j consumes the prefix of row_buf
+      // filled so far, which IS the output of plan point j (0 = scan
+      // output, J = chain output), so offering at each level covers every
+      // capture point exactly once per row.
+      auto walk = [&](auto&& self_fn, size_t step, uint32_t filled) -> void {
+        OfferCapture(options_.captures, c, static_cast<uint32_t>(step),
+                     row_buf.data(), filled);
         if (step == chain.joins.size()) {
           ++produced;
-          if (to_agg) {
-            agg_partials[t].Accumulate(row_buf.data());
-            return;
-          }
-          if (final_chain) digests[t].Add(row_buf.data(), filled);
-          if (materialized[c]) {
-            Batch& part = partials[t];
-            if (part.width() == 0) part = Batch(out_width);
-            part.AppendRow(row_buf.data());
-          }
+          sink(row_buf.data(), filled);
           return;
         }
         const JoinStep& js = chain.joins[step];
@@ -1796,8 +1345,7 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
             HashKey(row_buf[js.probe_col]) % B);
         const RowTable& table = (*join_tables[step])[bucket];
         table.ForEachMatch(row_buf[js.probe_col], [&](const int64_t* brow) {
-          std::copy(brow, brow + table.width(),
-                    row_buf.begin() + filled);
+          std::copy(brow, brow + table.width(), row_buf.begin() + filled);
           self_fn(self_fn, step + 1, filled + table.width());
         });
       };
@@ -1809,17 +1357,17 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
         const size_t n = end - begin;
         size_t m = n;
         const uint32_t* selp = nullptr;
-        if (input_preds != nullptr) {
-          m = FilterBatch(input, begin, n, *input_preds, &sel);
+        if (scan.preds != nullptr) {
+          m = FilterBatch(input, begin, n, *scan.preds, &sel);
           filtered.fetch_add(n - m, std::memory_order_relaxed);
           selp = sel.data();
         }
         for (size_t k = 0; k < m; ++k) {
           const int64_t* row =
               input.row(begin + (selp != nullptr ? selp[k] : k));
-          if (iproj != nullptr) {
+          if (scan.proj != nullptr) {
             for (uint32_t cc = 0; cc < in_w; ++cc) {
-              row_buf[cc] = row[(*iproj)[cc]];
+              row_buf[cc] = row[(*scan.proj)[cc]];
             }
           } else {
             std::copy(row, row + in_w, row_buf.begin());
@@ -1831,20 +1379,10 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
         rin += end - begin;
       }
       chain_rows[c * T + t] += produced;
-      if (trace != nullptr && acts > 0) {
-        // The fused scan+probe walk reports on the chain's scan op.
-        obs::TraceEvent ev;
-        ev.worker = static_cast<int32_t>(t);
-        ev.op = static_cast<int32_t>(
-            op_base[c] + static_cast<uint32_t>(chain.joins.size()));
-        ev.start_ns = tr0;
-        ev.end_ns = trace->NowNs();
-        ev.activations = acts;
-        ev.rows_in = rin;
-        ev.rows_out = produced;
-        ev.detail = ev.end_ns - ev.start_ns;
-        trace->Record(t, ev);
-      }
+      // The fused scan+probe walk reports on the chain's scan op.
+      record_phase(t,
+                   op_base[c] + static_cast<uint32_t>(chain.joins.size()),
+                   tr0, acts, rin, produced);
     });
     if (ctx->StopRequested()) {
       return Status::Cancelled("query cancelled during execution");
@@ -1852,69 +1390,21 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
     morsel_count +=
         (input.rows() + options_.morsel_rows - 1) / options_.morsel_rows;
 
-    if (materialized[c]) {
-      Batch merged(out_width);
-      for (Batch& part : partials) {
-        merged.data().insert(merged.data().end(), part.data().begin(),
-                             part.data().end());
-      }
-      chain_outputs[c] = std::move(merged);
-    }
+    if (materialized[c]) chain_outputs[c] = Concat(partials, out_width);
   }
 
-  // Phase 2 of aggregation, mirroring the DP/FP merge: workers claim
-  // group-hash partitions and merge every thread's share of them.
-  uint64_t agg_groups = 0, agg_partial_entries = 0;
-  std::vector<ResultDigest> agg_digests;
-  std::vector<Batch> agg_rows;
-  if (agg != nullptr) {
-    for (const AggTable& t : agg_partials) agg_partial_entries += t.groups();
-    // Same partition clamp as the DP/FP merge (see Execute).
-    const uint32_t P = std::min(B, std::max(16u, 4 * T));
-    std::vector<AggTable> finals(P);
-    for (AggTable& t : finals) t.Init(agg);
-    agg_digests.assign(P, {});
-    agg_rows.assign(P, Batch());
-    const bool want_rows = out_rows != nullptr;
-    std::atomic<uint32_t> part_cursor{0};
-    std::atomic<bool> merge_cancelled{false};
-    ctx->SpawnWorkers(T, [&](uint32_t) {
-      for (;;) {
-        if (ctx->StopRequested()) {
-          merge_cancelled.store(true);
-          return;
-        }
-        uint32_t p = part_cursor.fetch_add(1, std::memory_order_relaxed);
-        if (p >= P) return;
-        for (const AggTable& part : agg_partials) {
-          part.ForEachPartial(p, P, [&](const int64_t* row) {
-            finals[p].MergePartial(row);
-          });
-        }
-        finals[p].EmitFinal(want_rows ? &agg_rows[p] : nullptr,
-                            &agg_digests[p]);
-      }
-    });
-    if (merge_cancelled.load()) {
-      return Status::Cancelled("query cancelled during aggregation");
-    }
-    for (const AggTable& t : finals) agg_groups += t.groups();
+  AggMerge merge;
+  if (agg != nullptr &&
+      !merge.Run(ctx, T, B, agg, agg_partials, out_rows != nullptr)) {
+    return Status::Cancelled("query cancelled during aggregation");
   }
 
   ResultDigest digest;
   for (const auto& d : digests) digest.Merge(d);
-  for (const auto& d : agg_digests) digest.Merge(d);
-  if (out_rows != nullptr) {
-    if (agg != nullptr) {
-      Batch out(agg->OutputWidth());
-      for (Batch& part : agg_rows) {
-        out.data().insert(out.data().end(), part.data().begin(),
-                          part.data().end());
-      }
-      *out_rows = std::move(out);
-    } else {
-      *out_rows = std::move(chain_outputs.back());
-    }
+  if (agg != nullptr) {
+    merge.Finish(*agg, &digest, out_rows);
+  } else if (out_rows != nullptr) {
+    *out_rows = std::move(chain_outputs.back());
   }
   if (stats != nullptr) {
     *stats = PipelineStats{};
@@ -1922,15 +1412,10 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
     stats->build_cache_hits = cache_hits;
     stats->build_cache_misses = cache_misses;
     stats->rows_filtered = filtered.load();
-    stats->agg_groups = agg_groups;
-    stats->agg_partials = agg_partial_entries;
+    stats->agg_groups = merge.groups;
+    stats->agg_partials = merge.partial_entries;
     stats->busy_per_thread = busy;
-    stats->rows_per_chain.assign(plan.chains.size(), 0);
-    for (uint32_t c = 0; c < plan.chains.size(); ++c) {
-      for (uint32_t t = 0; t < T; ++t) {
-        stats->rows_per_chain[c] += chain_rows[c * T + t];
-      }
-    }
+    stats->rows_per_chain = SumPerChain(chain_rows, plan.chains.size());
   }
   return digest;
 }

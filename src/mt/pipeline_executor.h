@@ -29,16 +29,17 @@
 // `morsel_rows`); data activations are row batches bound to a hash bucket
 // (granularity `batch_rows`); the degree of fragmentation `buckets` is
 // much higher than the thread count so skew spreads (Section 3.1).
+//
+// The queues, outbox, scratch, FP apportionment, span cells and operator
+// kernels are the node data plane shared with the cluster backend
+// (mt/node_plane.h); this executor adds the single-node scheduling: the
+// unblock cascade, guest slots, the build-cache publish and SP's walk.
 
 #ifndef HIERDB_MT_PIPELINE_EXECUTOR_H_
 #define HIERDB_MT_PIPELINE_EXECUTOR_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -51,6 +52,8 @@
 #include "obs/trace.h"
 
 namespace hierdb::mt {
+
+struct Activation;  // mt/node_plane.h
 
 /// The strategy enum is shared by all backends (common/strategy.h); these
 /// aliases keep the historical mt::LocalStrategy spelling working.
@@ -160,10 +163,8 @@ class PipelineExecutor {
   static uint32_t CompiledOpCount(const PipelinePlan& plan);
 
  private:
-  struct Activation;
   struct OpState;
   struct Shared;
-  class BoundedQueue;
 
   PipelineOptions options_;
   std::unique_ptr<Shared> shared_;  // per-run state
@@ -186,13 +187,6 @@ class PipelineExecutor {
   void OnOpEnded(uint32_t op_id);
   void RecomputeFpAssignment();
   bool ThreadMayRun(uint32_t self, uint32_t op_id) const;
-  /// Phase-2 aggregation: claims group-hash partitions and merges every
-  /// slot's partials for them (runs on SpawnWorkers bodies).
-  void AggMergeWorker(bool want_rows);
-  /// Folds one activation into the per-(slot, op) trace cell. Pre:
-  /// tracing is on (shared_->trace != nullptr).
-  void TraceActivation(uint32_t self, uint32_t op_id, uint64_t t0,
-                       uint64_t rows_in, uint64_t rows_out);
   /// Emits the accumulated span cells into the sink (every exit path of
   /// Execute, cancelled/failed runs included).
   void EmitTraceCells();

@@ -52,6 +52,10 @@ class Batch {
   void AppendRows(const int64_t* rows, size_t n) {
     data_.insert(data_.end(), rows, rows + n * width_);
   }
+  /// Appends every row of `other` (same width).
+  void Append(const Batch& other) {
+    data_.insert(data_.end(), other.data_.begin(), other.data_.end());
+  }
   /// Appends the concatenation of two row fragments.
   void AppendConcat(const int64_t* a, uint32_t na, const int64_t* b,
                     uint32_t nb) {

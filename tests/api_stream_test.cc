@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "api/session.h"
@@ -81,6 +82,40 @@ std::vector<std::vector<int64_t>> SortedRows(const mt::Batch& b) {
   }
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+// The first `max` positions where two sorted row lists differ, both sides
+// printed, for a failure message.
+std::string FirstDifferences(const std::vector<std::vector<int64_t>>& want,
+                             const std::vector<std::vector<int64_t>>& got,
+                             size_t max = 5) {
+  auto row = [](const std::vector<std::vector<int64_t>>& rows, size_t i) {
+    if (i >= rows.size()) return std::string("(none)");
+    std::string out = "(";
+    for (size_t c = 0; c < rows[i].size(); ++c) {
+      out += (c > 0 ? ", " : "") + std::to_string(rows[i][c]);
+    }
+    return out + ")";
+  };
+  std::string out = "reference " + std::to_string(want.size()) +
+                    " rows, threads " + std::to_string(got.size()) + " rows";
+  size_t shown = 0;
+  for (size_t i = 0; i < std::max(want.size(), got.size()) && shown < max;
+       ++i) {
+    if (i < want.size() && i < got.size() && want[i] == got[i]) continue;
+    out += "\n  sorted row " + std::to_string(i) + ": reference " +
+           row(want, i) + " vs threads " + row(got, i);
+    ++shown;
+  }
+  return out;
+}
+
+// Process CPU seconds (user + system) used so far.
+double ProcessCpuSeconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_utime.tv_sec + ru.ru_stime.tv_sec +
+         (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
 }
 
 // N parallel Submits on kThreads produce digests identical to serial
@@ -276,7 +311,15 @@ TEST(StreamAdmission, OverlappedMakespanBeatsSerialSum) {
     serial_sum += r.value().response_ms;
   }
 
+  // CPU time and pool counters over the stream tell a host that gave the
+  // process little CPU (CPU time well below makespan x cores, counters as
+  // usual) from a run the program serialized (CPU time close to the
+  // makespan on several cores, or few pool tasks).
+  const PoolStats pool_before = fx.db.pool_stats();
+  const double cpu_before = ProcessCpuSeconds();
   StreamReport sr = fx.db.RunStream(queries, opts);
+  const double stream_cpu_ms = (ProcessCpuSeconds() - cpu_before) * 1000.0;
+  const PoolStats pool_after = fx.db.pool_stats();
   EXPECT_EQ(sr.succeeded, 6u);
   EXPECT_GT(sr.makespan_ms, 0.0);
   EXPECT_GE(fx.db.scheduler_stats().max_in_flight, 2u);
@@ -286,7 +329,18 @@ TEST(StreamAdmission, OverlappedMakespanBeatsSerialSum) {
                  << serial_sum << "ms, makespan " << sr.makespan_ms << "ms)";
   }
   EXPECT_LT(sr.makespan_ms, 0.9 * serial_sum)
-      << "expected overlap: serial sum " << serial_sum << "ms";
+      << "expected overlap: serial sum " << serial_sum << "ms; stream used "
+      << stream_cpu_ms << "ms process CPU over " << sr.makespan_ms
+      << "ms makespan on " << std::thread::hardware_concurrency()
+      << " cores; pool deltas: pool_tasks "
+      << pool_after.pool_tasks - pool_before.pool_tasks << ", caller_tasks "
+      << pool_after.caller_tasks - pool_before.caller_tasks
+      << ", foreign_steals "
+      << pool_after.foreign_steals - pool_before.foreign_steals
+      << ", gang_threads "
+      << pool_after.gang_threads - pool_before.gang_threads
+      << ", spawned_threads "
+      << pool_after.spawned_threads - pool_before.spawned_threads;
 }
 
 TEST(StreamAdmission, QueueFullRejectsWithResourceExhausted) {
@@ -485,7 +539,9 @@ TEST(StreamMaterialize, ThreadsRowsMatchReferenceMaterialize) {
   auto ref = mt::ReferenceMaterialize(plan, tables);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   ASSERT_EQ(ref.value().width(), qr.rows.width());
-  EXPECT_EQ(SortedRows(ref.value()), SortedRows(qr.rows));
+  const auto want = SortedRows(ref.value());
+  const auto got = SortedRows(qr.rows);
+  EXPECT_EQ(want, got) << FirstDifferences(want, got);
 }
 
 TEST(StreamMaterialize, ClusterRowsMatchReferenceMaterialize) {

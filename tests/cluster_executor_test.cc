@@ -7,6 +7,7 @@
 
 #include "gtest/gtest.h"
 #include "net/message.h"
+#include "tests/test_util.h"
 
 namespace hierdb::cluster {
 namespace {
@@ -36,17 +37,20 @@ struct ChainFixture {
     for (uint32_t j = 0; j < joins; ++j) {
       dim_parts.push_back(PartitionByHash(dims[j], nodes, 0));
     }
-    query.input = &fact_parts;
+    std::vector<const PartitionedTable*> builds;
+    std::vector<uint32_t> cols;
     for (uint32_t j = 0; j < joins; ++j) {
-      query.joins.push_back({&dim_parts[j], j + 1, 0});
+      builds.push_back(&dim_parts[j]);
+      cols.push_back(j + 1);
     }
+    query = test::ChainPlanQuery(&fact_parts, builds, cols);
   }
 
   mt::Table fact;
   std::vector<mt::Table> dims;
   PartitionedTable fact_parts;
   std::vector<PartitionedTable> dim_parts;
-  ChainQuery query;
+  PlanQuery query;
 };
 
 ClusterOptions Opts(uint32_t nodes, uint32_t threads,
@@ -95,11 +99,11 @@ TEST(Partitioning, ValidateRejectsWrongPartCount) {
 
 TEST(Partitioning, ValidateRejectsBadColumns) {
   ChainFixture fx(2, 1, 100, 50);
-  ChainQuery bad = fx.query;
-  bad.joins[0].probe_col = 99;
+  PlanQuery bad = fx.query;
+  bad.plan.chains[0].joins[0].probe_col = 99;
   EXPECT_FALSE(bad.Validate(2).ok());
   bad = fx.query;
-  bad.joins[0].build_col = 99;
+  bad.plan.chains[0].joins[0].build_col = 99;
   EXPECT_FALSE(bad.Validate(2).ok());
 }
 
@@ -161,9 +165,7 @@ TEST(Cluster, AttributeValueSkewStillCorrect) {
   mt::Table dim = MakeTable("dim", 300, 2, 10, 22);
   PartitionedTable fact_parts = PartitionRoundRobin(fact, nodes);
   PartitionedTable dim_parts = PartitionByHash(dim, nodes, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q = test::ChainPlanQuery(&fact_parts, {&dim_parts}, {1});
   auto ref = ReferenceExecute(q).ValueOrDie();
   for (LocalStrategy s : {LocalStrategy::kDP, LocalStrategy::kFP}) {
     ClusterExecutor exec(Opts(nodes, 2, s));
@@ -184,8 +186,8 @@ TEST(Cluster, EmptyFactPartitionsHandled) {
   for (size_t i = 0; i < fact2.rows(); ++i) {
     all_at_zero.parts[0].AppendRow(fact2.batch.row(i));
   }
-  ChainQuery q = fx.query;
-  q.input = &all_at_zero;
+  PlanQuery q = fx.query;
+  q.tables[0] = &all_at_zero;
   auto ref = ReferenceExecute(q).ValueOrDie();
   ClusterExecutor exec(Opts(4, 2));
   auto got = exec.Execute(q);
@@ -195,8 +197,7 @@ TEST(Cluster, EmptyFactPartitionsHandled) {
 
 TEST(Cluster, RejectsEmptyJoinList) {
   ChainFixture fx(2, 1, 100, 50);
-  ChainQuery q;
-  q.input = fx.query.input;
+  PlanQuery q = test::ChainPlanQuery(fx.query.tables[0], {}, {});
   ClusterExecutor exec(Opts(2, 1));
   EXPECT_FALSE(exec.Execute(q).ok());
 }
@@ -215,9 +216,7 @@ TEST(Cluster, SelectiveAndNToMJoinsCorrect) {
   }
   PartitionedTable fact_parts = PartitionRoundRobin(fact, nodes);
   PartitionedTable dim_parts = PartitionByHash(dim, nodes, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q = test::ChainPlanQuery(&fact_parts, {&dim_parts}, {1});
   auto ref = ReferenceExecute(q).ValueOrDie();
   EXPECT_GT(ref.count, 8000u);
   EXPECT_LT(ref.count, 12000u);
@@ -240,9 +239,7 @@ TEST(Cluster, GlobalLBFiresUnderPlacementSkew) {
     fact_parts.parts[0].AppendRow(fact.batch.row(i));
   }
   PartitionedTable dim_parts = PartitionByHash(dim, 4, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q = test::ChainPlanQuery(&fact_parts, {&dim_parts}, {1});
   auto ref = ReferenceExecute(q).ValueOrDie();
   ClusterOptions o = Opts(4, 2);
   o.queue_capacity = 128;  // deep queues: plenty to steal
@@ -280,9 +277,7 @@ TEST(Cluster, StolenWorkIsAccounted) {
     fact_parts.parts[0].AppendRow(fact.batch.row(i));
   }
   PartitionedTable dim_parts = PartitionByHash(dim, 4, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q = test::ChainPlanQuery(&fact_parts, {&dim_parts}, {1});
   auto ref = ReferenceExecute(q).ValueOrDie();
   ClusterOptions o = Opts(4, 2);
   o.queue_capacity = 256;

@@ -222,6 +222,39 @@ INSTANTIATE_TEST_SUITE_P(
         EngineSweepParam{8, 2, Strategy::kDP, 0.8},
         EngineSweepParam{3, 3, Strategy::kFP, 0.3}));
 
+// Every CPU burst ends by the response, so busy time fits in response time
+// x threads and no operator ends after the response. SP once stamped its
+// end when the last trigger's final burst started: query 5 of the seed-42
+// paper-band workload read busy = 1.20x response x threads at 4 threads
+// and 3.43x at 8.
+TEST(Conservation, BusyFitsInResponseTimesThreads) {
+  opt::WorkloadOptions wo;
+  wo.num_queries = 8;
+  wo.trees_per_query = 1;
+  wo.seed = 42;
+  wo.query.num_relations = 12;
+  wo.query.scale = 0.005;
+  const auto plans = opt::MakeWorkload(wo);
+  RunOptions opts;
+  opts.skew_theta = 0.6;
+  for (Strategy s : {Strategy::kDP, Strategy::kFP, Strategy::kSP}) {
+    for (uint32_t procs : {4u, 8u}) {
+      sim::SystemConfig cfg;
+      cfg.num_nodes = 1;
+      cfg.procs_per_node = procs;
+      for (size_t q = 0; q < plans.size(); ++q) {
+        SCOPED_TRACE(std::string(StrategyName(s)) + " 1x" +
+                     std::to_string(procs) + " query " + std::to_string(q));
+        const RunMetrics m =
+            MustRun(cfg, s, plans[q].catalog, plans[q].plan, opts);
+        EXPECT_LE(static_cast<double>(m.busy_ns_total),
+                  static_cast<double>(m.response_time) * m.threads);
+        for (SimTime end : m.op_end_time) EXPECT_LE(end, m.response_time);
+      }
+    }
+  }
+}
+
 TEST(Engine, RejectsSpOnMultipleNodes) {
   EXPECT_DEATH(Engine(test::SmallConfig(2, 2), Strategy::kSP),
                "shared-memory-only");

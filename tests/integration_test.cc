@@ -4,6 +4,7 @@
 #include "cluster/cluster_executor.h"
 #include "gtest/gtest.h"
 #include "mt/pipeline_executor.h"
+#include "tests/test_util.h"
 
 namespace hierdb {
 namespace {
@@ -20,17 +21,19 @@ TEST_P(EndDetectionSweep, WireCountMatchesFormula) {
   std::vector<cluster::PartitionedTable> dim_parts;
   cluster::PartitionedTable fact_parts =
       cluster::PartitionRoundRobin(fact, nodes);
-  cluster::ChainQuery q;
-  q.input = &fact_parts;
   for (uint32_t j = 0; j < joins; ++j) {
     dims.push_back(mt::MakeTable("dim", 200, 2, 10, 11 + j));
   }
   for (uint32_t j = 0; j < joins; ++j) {
     dim_parts.push_back(cluster::PartitionByHash(dims[j], nodes, 0));
   }
+  std::vector<const cluster::PartitionedTable*> builds;
+  std::vector<uint32_t> cols;
   for (uint32_t j = 0; j < joins; ++j) {
-    q.joins.push_back({&dim_parts[j], j + 1, 0});
+    builds.push_back(&dim_parts[j]);
+    cols.push_back(j + 1);
   }
+  cluster::PlanQuery q = test::ChainPlanQuery(&fact_parts, builds, cols);
   cluster::ClusterOptions o;
   o.nodes = nodes;
   o.threads_per_node = 2;
@@ -85,11 +88,9 @@ TEST(Integration, PipelineAndClusterAgree) {
   for (uint32_t j = 0; j < joins; ++j) {
     dim_parts.push_back(cluster::PartitionByHash(dims[j], 3, 0));
   }
-  cluster::ChainQuery q;
-  q.input = &fact_parts;
-  for (uint32_t j = 0; j < joins; ++j) {
-    q.joins.push_back({&dim_parts[j], j + 1, 0});
-  }
+  std::vector<const cluster::PartitionedTable*> builds;
+  for (const cluster::PartitionedTable& d : dim_parts) builds.push_back(&d);
+  cluster::PlanQuery q = test::ChainPlanQuery(&fact_parts, builds, cols);
   cluster::ClusterExecutor clus({.nodes = 3, .threads_per_node = 2});
   auto b = clus.Execute(q);
   ASSERT_TRUE(b.ok());

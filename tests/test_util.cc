@@ -66,4 +66,19 @@ exec::RunMetrics MustRun(const sim::SystemConfig& cfg, exec::Strategy strat,
   return r.metrics;
 }
 
+cluster::PlanQuery ChainPlanQuery(
+    const cluster::PartitionedTable* input,
+    const std::vector<const cluster::PartitionedTable*>& builds,
+    const std::vector<uint32_t>& probe_cols) {
+  cluster::PlanQuery q;
+  q.tables.push_back(input);
+  std::vector<uint32_t> ids;
+  for (const cluster::PartitionedTable* b : builds) {
+    ids.push_back(static_cast<uint32_t>(q.tables.size()));
+    q.tables.push_back(b);
+  }
+  q.plan = mt::MakeRightDeepPlan(0, ids, probe_cols);
+  return q;
+}
+
 }  // namespace hierdb::test

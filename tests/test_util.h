@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "catalog/catalog.h"
+#include "cluster/cluster_executor.h"
 #include "exec/engine.h"
 #include "opt/workload.h"
 #include "plan/join_graph.h"
@@ -42,6 +43,13 @@ exec::RunMetrics MustRun(const sim::SystemConfig& cfg, exec::Strategy strat,
                          const catalog::Catalog& cat,
                          const plan::PhysicalPlan& plan,
                          const exec::RunOptions& opts = {});
+
+/// A one-chain cluster query: `input` (table 0) probed at `probe_cols`
+/// against `builds` (tables 1..J, joined on their column 0) in order.
+cluster::PlanQuery ChainPlanQuery(
+    const cluster::PartitionedTable* input,
+    const std::vector<const cluster::PartitionedTable*>& builds,
+    const std::vector<uint32_t>& probe_cols);
 
 }  // namespace hierdb::test
 
