@@ -5,19 +5,24 @@
 // every Record call reduced to one branch) — and measures the
 // throughput delta the recorder costs.
 //
-// Each mode runs `--repeats` alternating trials and keeps its best qps
-// (stream makespans on a shared CI host are noisy; best-of is the
-// stable estimator of achievable throughput). The acceptance gate
-// (ISSUE: recorder overhead): armed throughput within 5% of disarmed.
+// Trials run in `--repeats` armed/disarmed pairs, back to back and in
+// alternating order (armed first in odd pairs), so both trials of a pair
+// see the same host load. Each pair gives one overhead, 1 - armed qps /
+// disarmed qps; the gate takes the median over the pairs and prints
+// their spread. Stream makespans on a shared host drift by several
+// percent between trials, which a best-of-3 per mode compared as if it
+// were the recorder's cost. The acceptance gate: the armed recorder
+// costs at most 5% of disarmed throughput.
 //
 // Flags: --queries=N  stream length per trial (default 600)
-//        --repeats=N  trials per mode (default 3)
+//        --repeats=N  armed/disarmed pairs (default 40)
 //        --quick      CI smoke: 200 queries
 //        --seed=N     table/synthesis seed
 //        --out=PATH   JSON baseline path (default BENCH_obs.json)
 //        --check      enforce the <= 5% gate with nonzero exit instead
 //                     of rewriting the baseline
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -34,7 +39,7 @@ namespace {
 
 struct Args {
   uint32_t queries = 600;
-  uint32_t repeats = 3;
+  uint32_t repeats = 40;
   uint64_t seed = 42;
   std::string out = "BENCH_obs.json";
   bool check = false;
@@ -64,6 +69,14 @@ Args Parse(int argc, char** argv) {
   return a;
 }
 
+/// Median of `v` (copied: callers keep their order).
+double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 double NowMs() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -78,7 +91,7 @@ struct Trial {
 
 struct ModeResult {
   bool armed = false;
-  Trial best;                    ///< trial with the highest qps
+  std::vector<Trial> trials;     ///< in pair order
   uint64_t events_recorded = 0;  ///< recorder lifetime counter (armed)
   uint64_t events_dropped = 0;
   uint32_t rings_claimed = 0;
@@ -119,9 +132,9 @@ Trial RunTrial(api::Session& db, const api::Query& q, uint32_t queries,
   return t;
 }
 
-/// One mode's session plus its running best: trials are interleaved
-/// across modes by main() so neither mode systematically inherits a
-/// colder machine or a warmer allocator than the other.
+/// One mode's session and its trials: trials are paired across modes by
+/// main() so neither mode systematically inherits a colder machine or a
+/// warmer allocator than the other.
 struct Mode {
   explicit Mode(const Args& args, bool armed_in) : armed(armed_in) {
     api::SessionOptions so;
@@ -140,11 +153,11 @@ struct Mode {
 
   void RunOne(const Args& args, uint32_t rep, int* failures) {
     Trial t = RunTrial(*db, q, args.queries, args.seed + rep, failures);
-    std::printf("  %-8s trial %u: %8.1f qps  p50 %6.2f  p99 %6.2f  "
+    std::printf("  %-8s pair %u: %8.1f qps  p50 %6.2f  p99 %6.2f  "
                 "%8.0f ms\n",
                 armed ? "armed" : "disarmed", rep + 1, t.qps, t.p50_ms,
                 t.p99_ms, t.makespan_ms);
-    if (t.qps > result.best.qps) result.best = t;
+    result.trials.push_back(t);
   }
 
   ModeResult Finish() {
@@ -185,15 +198,27 @@ int main(int argc, char** argv) {
     failures += warm_failures;
   }
   for (uint32_t rep = 0; rep < args.repeats; ++rep) {
-    off.RunOne(args, rep, &failures);
-    on.RunOne(args, rep, &failures);
+    Mode& first = rep % 2 == 0 ? off : on;
+    Mode& second = rep % 2 == 0 ? on : off;
+    first.RunOne(args, rep, &failures);
+    second.RunOne(args, rep, &failures);
   }
   ModeResult disarmed = off.Finish();
   ModeResult armed = on.Finish();
 
-  const double overhead =
-      disarmed.best.qps > 0.0 ? 1.0 - armed.best.qps / disarmed.best.qps
-                              : 0.0;
+  // One overhead per pair; the median is the gated estimate.
+  std::vector<double> pair_overheads;
+  for (uint32_t i = 0; i < args.repeats; ++i) {
+    const double base = disarmed.trials[i].qps;
+    pair_overheads.push_back(base > 0.0 ? 1.0 - armed.trials[i].qps / base
+                                        : 0.0);
+  }
+  std::sort(pair_overheads.begin(), pair_overheads.end());
+  const double overhead = Median(pair_overheads);
+  const double overhead_lo = pair_overheads.front();
+  const double overhead_hi = pair_overheads.back();
+  const double overhead_q1 = pair_overheads[pair_overheads.size() / 4];
+  const double overhead_q3 = pair_overheads[pair_overheads.size() * 3 / 4];
   // Lifetime counter over every query the armed session ran, warmup
   // included.
   const double events_per_query =
@@ -201,15 +226,20 @@ int main(int argc, char** argv) {
       (args.queries * args.repeats + args.queries / 2 + 1);
 
   for (const ModeResult* m : {&disarmed, &armed}) {
+    std::vector<double> qps, p50, p99;
+    for (const Trial& t : m->trials) {
+      qps.push_back(t.qps);
+      p50.push_back(t.p50_ms);
+      p99.push_back(t.p99_ms);
+    }
     json.Row()
         .Str("sweep", "recorder_overhead")
         .Str("mode", m->armed ? "armed" : "disarmed")
         .Num("queries", static_cast<uint64_t>(args.queries))
-        .Num("repeats", static_cast<uint64_t>(args.repeats))
-        .Num("best_qps", m->best.qps)
-        .Num("p50_ms", m->best.p50_ms)
-        .Num("p99_ms", m->best.p99_ms)
-        .Num("makespan_ms", m->best.makespan_ms)
+        .Num("pairs", static_cast<uint64_t>(args.repeats))
+        .Num("median_qps", Median(qps))
+        .Num("median_p50_ms", Median(p50))
+        .Num("median_p99_ms", Median(p99))
         .Num("events_recorded", m->events_recorded)
         .Num("events_dropped", m->events_dropped)
         .Num("rings_claimed", static_cast<uint64_t>(m->rings_claimed));
@@ -218,13 +248,18 @@ int main(int argc, char** argv) {
       .Str("sweep", "recorder_overhead")
       .Str("mode", "delta")
       .Num("overhead_frac", overhead)
+      .Num("overhead_min", overhead_lo)
+      .Num("overhead_q1", overhead_q1)
+      .Num("overhead_q3", overhead_q3)
+      .Num("overhead_max", overhead_hi)
       .Num("events_per_query", events_per_query);
 
-  std::printf("\nbest-of-%u: disarmed %8.1f qps, armed %8.1f qps -> "
-              "overhead %+.2f%%  (%.1f events/query, %llu dropped)\n",
-              args.repeats, disarmed.best.qps, armed.best.qps,
-              100.0 * overhead, events_per_query,
-              (unsigned long long)armed.events_dropped);
+  std::printf("\nmedian of %u paired overheads: %+.2f%% (quartiles %+.2f%% "
+              "to %+.2f%%, pairs span %+.2f%% to %+.2f%%; %.1f events/query, "
+              "%llu dropped)\n",
+              args.repeats, 100.0 * overhead, 100.0 * overhead_q1,
+              100.0 * overhead_q3, 100.0 * overhead_lo, 100.0 * overhead_hi,
+              events_per_query, (unsigned long long)armed.events_dropped);
 
   // The gate: always-on must cost <= 5% of disarmed throughput. Absolute,
   // not baseline-relative — a recorder that got expensive fails CI even

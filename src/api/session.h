@@ -153,8 +153,16 @@ struct ExecOptions {
   /// Shared fragmentation / granularity knobs; 0 = backend default.
   uint32_t buckets = 0;          ///< degree of fragmentation per operator
   uint32_t morsel_rows = 0;      ///< trigger-activation granularity (real)
-  uint32_t batch_rows = 0;       ///< data-activation granularity (real)
-  uint32_t queue_capacity = 0;   ///< flow control (activations per queue)
+  /// Data-activation granularity. kSimulated: the activation batch size.
+  /// Real backends: each worker buffers its rows per (consumer, bucket)
+  /// across activations and ships a bucket at batch_rows rows; past
+  /// mt::kResidencyBatches x batch_rows buffered rows for one consumer
+  /// its fullest buckets ship, and the rest ships when the producer ends.
+  uint32_t batch_rows = 0;
+  /// Flow control. kSimulated: activations per queue. Real backends: a
+  /// queue takes no push past mt::kQueueRowsPerCapacity x queue_capacity
+  /// rows, except into an empty queue.
+  uint32_t queue_capacity = 0;
 
   /// Real backends: materialize the final result rows into
   /// QueryResult::rows (kThreads: per-thread partial collection merged at

@@ -198,8 +198,10 @@ struct ClusterExecutor::Impl {
   // terminates: (trigger op, source chain).
   std::vector<std::pair<uint32_t, uint32_t>> deferred_triggers;
   // Destination ops receiving a chain's repartitioned intermediate, per
-  // source chain (to attribute kTupleBatch traffic in the stats).
+  // source chain (to attribute kTupleBatch traffic in the stats), and the
+  // inverse: per op, the source chain it receives, or -1.
   std::vector<std::vector<uint32_t>> repart_dst_ops;
+  std::vector<int32_t> repart_src;
 
   net::Fabric fabric;
 
@@ -327,6 +329,15 @@ struct ClusterExecutor::Impl {
     if (rel < 2 * ci.k) return ci.join_base + rel - ci.k;         // build
     return ci.join_base + rel - 2 * ci.k - 1;                     // probe
   }
+  /// The op our data activations feed, kAnyOp for builds and terminal
+  /// probes (the ops that buffer no output).
+  uint32_t consumer_of(uint32_t op) const {
+    const ChainInfo& ci = chains[op_chain[op]];
+    const uint32_t rel = op - ci.op_base;
+    if (rel < ci.k) return op + ci.k;  // buildscan -> its build
+    if (rel < 2 * ci.k || op == ci.terminal) return kAnyOp;
+    return op + 1;  // scan -> probe 0, probe j -> probe j + 1
+  }
   uint32_t producer_of(uint32_t op) const {
     const ChainInfo& ci = chains[op_chain[op]];
     uint32_t rel = op - ci.op_base;
@@ -420,8 +431,11 @@ struct ClusterExecutor::Impl {
     std::atomic<uint64_t> filtered{0};
     std::atomic<uint64_t> agg_repart_rows{0};
 
-    // Per-worker outboxes for full local queues, and scatter scratch.
+    // Per-worker outboxes for full local queues, output buffers (rows
+    // bound for a consumer, across activations; the node loop flushes
+    // their residue, see FlushResidue) and scratch.
     std::vector<mt::Outbox> outbox;
+    mt::SlotBuffers out;
     mt::ScratchPool scratch;
   };
   std::vector<std::unique_ptr<NodeState>> node_state;
@@ -508,6 +522,12 @@ struct ClusterExecutor::Impl {
         }
       }
     }
+    repart_src.assign(nops, -1);
+    for (uint32_t c = 0; c < C; ++c) {
+      for (uint32_t dst : repart_dst_ops[c]) {
+        repart_src[dst] = static_cast<int32_t>(c);
+      }
+    }
 
     coord_reports.assign(nops, 0);
     coord_acks.assign(nops, 0);
@@ -572,6 +592,7 @@ struct ClusterExecutor::Impl {
       ns->busy.assign(T, 0);
       ns->chain_rows.assign(static_cast<size_t>(C) * T, 0);
       ns->outbox.resize(T);
+      ns->out.Init(T, nops);
       ns->scratch.Init(T, B);
       // Trigger morsel counts: known now for base-table sources, resolved
       // at source-chain termination for intermediate sources.
@@ -810,14 +831,9 @@ struct ClusterExecutor::Impl {
     const bool scan = rel == 2 * ci.k;
     const mt::Source& trigger_src = scan ? query->plan.chains[c].input
                                          : jn_build_src[ci.join_base + rel];
-    const uint32_t dst_op = scan ? probe_op(c, 0) : build_op(c, rel);
+    const uint32_t dst_op = consumer_of(op);
     const uint32_t col = scan ? jn_probe_col[ci.join_base]
                               : jn_build_col[ci.join_base + rel];
-    // Repartitioning a chain intermediate? (its remote share is counted)
-    const int32_t src_chain =
-        trigger_src.kind == mt::Source::Kind::kChain
-            ? static_cast<int32_t>(trigger_src.index)
-            : -1;
     // Scan-level predicates and column pruning of base tables apply as
     // the rows enter the pipeline, so a pruned table's repartition wire
     // narrows with it (intermediates were filtered and pruned at their
@@ -831,13 +847,11 @@ struct ClusterExecutor::Impl {
     // Build triggers are not plan points.
     mt::ScratchPool::Lease sc(ns.scratch, t);
     const size_t kept = mt::ScatterMorsel(
-        spec, begin, end, col, opt.buckets, opt.batch_rows, *sc,
+        spec, begin, end, col, opt.buckets, ns.out.At(t, dst_op),
+        mt::ShipRule::Buffered(opt.batch_rows), *sc,
         [&](uint32_t bucket, Batch& rows) {
-          if (src_chain >= 0 && home_of(bucket) != node) {
-            ns.repart_rows[src_chain].fetch_add(rows.rows(),
-                                                std::memory_order_relaxed);
-          }
-          Route(node, t, dst_op, bucket, std::move(rows));
+          Route(node, static_cast<int32_t>(t), dst_op, bucket,
+                std::move(rows));
         },
         [&](const int64_t* row, uint32_t w) {
           if (scan) mt::OfferCapture(opt.captures, c, 0, row, w);
@@ -848,29 +862,39 @@ struct ClusterExecutor::Impl {
     if (spans.on()) spans.Add(slot_of(node, t + 1), op, tr0, end - begin, kept);
   }
 
+  size_t QueueRows() const { return mt::QueueRowBound(opt.queue_capacity); }
+
   // Queues an activation that arrived at its node, or stages it for the
   // scheduler's next routing pass when the queue is full.
   void Enqueue(NodeState& ns, Activation&& act) {
-    if (!ns.queues.TryPush(act, opt.queue_capacity)) {
+    if (!ns.queues.TryPush(act, QueueRows())) {
       ns.route_overflow.Push(std::move(act));
     }
   }
 
   // Routes one data activation to the bucket's home node: local queue via
-  // shared memory, remote via the fabric.
-  void Route(uint32_t node, uint32_t t, uint32_t dst_op, uint32_t bucket,
+  // shared memory, remote via the fabric. `worker` is the sending worker,
+  // or -1 for the node loop, whose full-queue pushes wait in
+  // route_overflow instead of a worker's outbox.
+  void Route(uint32_t node, int32_t worker, uint32_t dst_op, uint32_t bucket,
              Batch&& rows) {
+    NodeState& ns = *node_state[node];
     uint32_t home = home_of(bucket);
     if (home == node) {
-      NodeState& ns = *node_state[node];
       ns.pending[dst_op].fetch_add(1);
       Activation act{dst_op, bucket, std::move(rows)};
-      if (!ns.queues.TryPush(act, opt.queue_capacity)) {
-        ns.outbox[t].Push(std::move(act));
+      if (!ns.queues.TryPush(act, QueueRows())) {
+        (worker >= 0 ? ns.outbox[worker] : ns.route_overflow)
+            .Push(std::move(act));
       } else {
         ns.wake_cv.notify_one();
       }
       return;
+    }
+    // A chain intermediate's remote share is its repartition traffic.
+    if (repart_src[dst_op] >= 0) {
+      ns.repart_rows[repart_src[dst_op]].fetch_add(rows.rows(),
+                                                   std::memory_order_relaxed);
     }
     Message m;
     m.type = MsgType::kTupleBatch;
@@ -881,13 +905,26 @@ struct ClusterExecutor::Impl {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::kFabricSend;
       ev.node = static_cast<int32_t>(node);
-      ev.worker = static_cast<int32_t>(t);
+      ev.worker = worker;
       ev.op = static_cast<int32_t>(dst_op);
       ev.start_ns = ev.end_ns = trace->NowNs();
       ev.detail = rows.rows();
-      trace->Record(slot_of(node, t + 1), ev);
+      trace->Record(slot_of(node, static_cast<uint32_t>(worker + 1)), ev);
     }
     fabric.Send(node, home, std::move(m)).ok();
+  }
+
+  // The forced end flush of `op` at `node` (the simulator's
+  // FlushProducerResidue), run on the node loop before it reports the op
+  // drained: what the workers still buffer for the op's consumer ships
+  // past flow control. No worker is inside `op`: its pending count (or
+  // morsel count) read zero after the last activation.
+  void FlushResidue(uint32_t node, uint32_t op) {
+    const uint32_t dst = consumer_of(op);
+    if (dst == kAnyOp) return;
+    node_state[node]->out.FlushResidue(dst, [&](uint32_t bucket, Batch& rows) {
+      Route(node, -1, dst, bucket, std::move(rows));
+    });
   }
 
   // Probe-output routing differs: a *stolen* activation's bucket is not
@@ -932,9 +969,11 @@ struct ClusterExecutor::Impl {
       if (j + 1 < ci.k) {
         rows_out = mt::ProbeForward(
             act.rows, jn_probe_col[g], *table, jn_probe_col[g + 1],
-            opt.buckets, opt.batch_rows, *sc,
+            opt.buckets, ns.out.At(t, act.op + 1),
+            mt::ShipRule::Buffered(opt.batch_rows), *sc,
             [&](uint32_t bucket, Batch& rows) {
-              Route(node, t, act.op + 1, bucket, std::move(rows));
+              Route(node, static_cast<int32_t>(t), act.op + 1, bucket,
+                    std::move(rows));
             },
             capture);
       } else {
@@ -983,7 +1022,7 @@ struct ClusterExecutor::Impl {
     uint32_t stalls = 0;
     while (!outbox.empty() && !ns.done.load(std::memory_order_relaxed)) {
       const bool progressed = outbox.Retry([&](Activation& act) {
-        return ns.queues.TryPush(act, opt.queue_capacity);
+        return ns.queues.TryPush(act, QueueRows());
       });
       if (outbox.empty() || progressed) {
         stalls = 0;
@@ -1087,7 +1126,7 @@ struct ClusterExecutor::Impl {
       bool worked = false;
       // 1. Route queued overflow from earlier messages.
       worked |= ns.route_overflow.Retry([&](Activation& act) {
-        return ns.queues.TryPush(act, opt.queue_capacity);
+        return ns.queues.TryPush(act, QueueRows());
       });
       // 2. Drain the mailbox.
       Message m;
@@ -1175,6 +1214,7 @@ struct ClusterExecutor::Impl {
         }
         if (ready) {
           ns.reported[op] = true;
+          FlushResidue(node, op);
           SendToCoordinator(node, MsgType::kEndOfQueuesAtNode, op, 0);
           acted = true;
         }
@@ -1185,7 +1225,9 @@ struct ClusterExecutor::Impl {
                            : (ns.pending[op].load() == 0 &&
                               ns.steal_inflight.load() == 0);
         if (drained) {
+          // Again: stolen activations may have run since the report.
           ns.drain_acked[op] = true;
+          FlushResidue(node, op);
           SendToCoordinator(node, MsgType::kDrainConfirm, op, 1);
           acted = true;
         }

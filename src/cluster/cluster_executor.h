@@ -130,7 +130,16 @@ struct ClusterOptions {
   uint32_t threads_per_node = 2;
   uint32_t buckets = 128;        ///< global fragmentation; home = b % nodes
   uint32_t morsel_rows = 8192;
+  /// Data-activation granularity: each worker buffers scan, build-scan
+  /// and probe output per (consumer, bucket) across activations and ships
+  /// a bucket at batch_rows rows — to a local queue or as one fabric
+  /// message; once an activation leaves more than mt::kResidencyBatches x
+  /// batch_rows rows buffered for one consumer, the fullest buckets ship;
+  /// the node loop ships the rest before it reports the producer drained.
   uint32_t batch_rows = 512;
+  /// Flow control, in rows: a node queue takes no push past
+  /// mt::kQueueRowsPerCapacity x queue_capacity rows, except into an
+  /// empty queue; refused pushes wait in an outbox.
   uint32_t queue_capacity = 512;
   mt::LocalStrategy strategy = mt::LocalStrategy::kDP;  ///< kDP or kFP
   bool global_lb = true;         ///< enable inter-node load sharing

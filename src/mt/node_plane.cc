@@ -7,13 +7,22 @@ void ActivationQueues::Init(uint32_t ops, uint32_t threads) {
   queues_ = std::make_unique<Queue[]>(static_cast<size_t>(ops) * threads);
 }
 
-bool ActivationQueues::TryPush(Activation& a, uint32_t capacity) {
-  Queue& q =
-      queues_[static_cast<size_t>(a.op) * threads_ + a.bucket % threads_];
+bool ActivationQueues::TryPush(Activation& a, size_t max_rows) {
+  Queue& q = QueueOf(a);
+  const size_t rows = a.rows.rows();
   std::lock_guard<std::mutex> lock(q.mu);
-  if (q.items.size() >= capacity) return false;
+  if (!q.items.empty() && q.rows + rows > max_rows) return false;
+  q.rows += rows;
   q.items.push_back(std::move(a));
   return true;
+}
+
+void ActivationQueues::Push(Activation&& a) {
+  Queue& q = QueueOf(a);
+  const size_t rows = a.rows.rows();
+  std::lock_guard<std::mutex> lock(q.mu);
+  q.rows += rows;
+  q.items.push_back(std::move(a));
 }
 
 bool ActivationQueues::Pop(uint32_t op, uint32_t t, bool front,
@@ -28,6 +37,7 @@ bool ActivationQueues::Pop(uint32_t op, uint32_t t, bool front,
     *out = std::move(q.items.back());
     q.items.pop_back();
   }
+  q.rows -= out->rows.rows();
   return true;
 }
 
@@ -54,7 +64,7 @@ ScratchPool::Lease::Lease(ScratchPool& pool, uint32_t slot)
   auto& levels = pool.pool_[slot];
   if (d == levels.size()) {
     levels.push_back(std::make_unique<Scratch>());
-    levels.back()->bucket.resize(pool.buckets_);
+    levels.back()->scatter.Resize(pool.buckets_);
   }
   sc_ = levels[d].get();
 }

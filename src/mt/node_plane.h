@@ -1,12 +1,14 @@
 // The node data plane: the execution model the paper runs inside every
 // SM-node (Sections 3.1-3.2), shared by both real backends. It holds the
-// activation queues (one per operator x thread), the outbox that stages
-// pushes into full queues, per-slot scratch, FP's thread apportionment,
-// trace span cells and the operator kernels: scan/build scatter, build
-// insert and probe. The threads backend (mt/pipeline_executor) runs it as
-// one node, the cluster (cluster/cluster_executor) as one per node. The
-// kernels take the executor's emission as a callable (a queue push, or a
-// local-or-fabric route), so the per-row loops compile to direct calls.
+// activation queues (one per operator x thread, bounded in rows), the
+// outbox that stages pushes into full queues, the output buffers that
+// batch rows into data activations across activations, per-slot scratch,
+// FP's thread apportionment, trace span cells and the operator kernels:
+// scan/build scatter, build insert and probe. The threads backend
+// (mt/pipeline_executor) runs it as one node, the cluster
+// (cluster/cluster_executor) as one per node. The kernels take the
+// executor's emission as a callable (a queue push, or a local-or-fabric
+// route), so the per-row loops compile to direct calls.
 
 #ifndef HIERDB_MT_NODE_PLANE_H_
 #define HIERDB_MT_NODE_PLANE_H_
@@ -34,14 +36,36 @@ struct Activation {
   Batch rows;
 };
 
+/// Data-activation buffering, as the simulator's Engine::FlushBucket and
+/// FlushProducerResidue model it: a slot's output rows for one consumer
+/// persist across activations. A bucket ships once it holds `batch_rows`
+/// rows. When an activation leaves the slot holding more than
+/// kResidencyBatches * batch_rows rows for that consumer (the residency
+/// cap that bounds buffered memory), its fullest buckets ship until it is
+/// back under the cap. Whatever is left ships, regardless of flow
+/// control, when the producing operator ends.
+inline constexpr size_t kResidencyBatches = 4;
+
+/// Flow control counts rows: an activation queue refuses a push that
+/// would take it past kQueueRowsPerCapacity * queue_capacity rows, but a
+/// push into an empty queue always succeeds.
+inline constexpr size_t kQueueRowsPerCapacity = 16;
+
+/// The row bound of every activation queue under `queue_capacity`.
+inline size_t QueueRowBound(uint32_t queue_capacity) {
+  return kQueueRowsPerCapacity * queue_capacity;
+}
+
 /// The bounded activation queues of one node, one per (operator x thread);
-/// flow control counts activations.
+/// flow control counts rows.
 class ActivationQueues {
  public:
   void Init(uint32_t ops, uint32_t threads);
-  /// Pushes onto the primary queue (bucket mod threads) unless it holds
-  /// `capacity` activations; `a` is moved from only on success.
-  bool TryPush(Activation& a, uint32_t capacity);
+  /// Pushes onto the primary queue (bucket mod threads) if it is empty or
+  /// stays within `max_rows` rows; `a` is moved from only on success.
+  bool TryPush(Activation& a, size_t max_rows);
+  /// Pushes past any bound (the forced end-of-producer flush).
+  void Push(Activation&& a);
   bool TryPopFront(uint32_t op, uint32_t t, Activation* out) {
     return Pop(op, t, /*front=*/true, out);
   }
@@ -55,7 +79,11 @@ class ActivationQueues {
   struct alignas(64) Queue {  // one cache line start per queue
     mutable std::mutex mu;
     std::deque<Activation> items;
+    size_t rows = 0;  // over items
   };
+  Queue& QueueOf(const Activation& a) {
+    return queues_[static_cast<size_t>(a.op) * threads_ + a.bucket % threads_];
+  }
   bool Pop(uint32_t op, uint32_t t, bool front, Activation* out);
 
   uint32_t threads_ = 0;
@@ -91,50 +119,133 @@ class Outbox {
   std::vector<Activation> items_;
 };
 
-/// One activation's scratch: the bucket batches of a scatter in progress,
-/// selection vector, hash and key columns, joined-row and agg buffers.
+/// When a BucketBuffer ships on its own: a bucket at `batch_rows` rows,
+/// and the fullest buckets while an activation leaves more than
+/// `cap_rows` held. The default ships only on FlushAll (a build's
+/// whole-morsel inserts).
+struct ShipRule {
+  size_t batch_rows = SIZE_MAX;
+  size_t cap_rows = SIZE_MAX;
+
+  /// The buffered data-activation rule (see kResidencyBatches).
+  static ShipRule Buffered(size_t batch_rows) {
+    return {batch_rows, kResidencyBatches * batch_rows};
+  }
+};
+
+/// One producer's output rows toward one consumer, one batch per bucket.
+/// Only one thread touches a buffer at a time: its slot's holder, or the
+/// forced end flush once the producer has no activation in flight.
+class alignas(64) BucketBuffer {
+ public:
+  /// Sizes the buffer for `buckets` buckets (kept if already so sized).
+  void Resize(uint32_t buckets) {
+    if (bucket_.size() != buckets) bucket_.resize(buckets);
+  }
+  uint32_t buckets() const { return static_cast<uint32_t>(bucket_.size()); }
+  /// Rows held over all buckets.
+  size_t rows() const { return rows_; }
+
+  /// The batch collecting bucket `b` at `width`, registered as touched.
+  /// Append one row to it, then call Appended.
+  Batch& Bucket(uint32_t b, uint32_t width) {
+    Batch& batch = bucket_[b];
+    if (batch.empty()) {
+      if (batch.width() != width) batch = Batch(width);
+      hit_.push_back(b);
+    }
+    return batch;
+  }
+  /// Counts the row just appended to bucket `b` and ships the bucket
+  /// through emit(bucket, Batch&), which may move from the batch, once it
+  /// holds `rule.batch_rows` rows.
+  template <typename Emit>
+  void Appended(uint32_t b, const ShipRule& rule, Emit&& emit) {
+    ++rows_;
+    if (bucket_[b].rows() < rule.batch_rows) return;
+    Ship(std::find(hit_.begin(), hit_.end(), b), emit);
+  }
+  /// The residency cap, at the end of an activation: the fullest buckets
+  /// ship while more than `rule.cap_rows` rows are held.
+  template <typename Emit>
+  void ShipOverCap(const ShipRule& rule, Emit&& emit) {
+    while (rows_ > rule.cap_rows) {
+      Ship(std::max_element(hit_.begin(), hit_.end(),
+                            [&](uint32_t x, uint32_t y) {
+                              return bucket_[x].rows() < bucket_[y].rows();
+                            }),
+           emit);
+    }
+  }
+  /// Hands every touched bucket to emit, in first-use order.
+  template <typename Emit>
+  void FlushAll(Emit&& emit) {
+    for (uint32_t b : hit_) {
+      emit(b, bucket_[b]);
+      bucket_[b].Clear();
+    }
+    hit_.clear();
+    rows_ = 0;
+  }
+
+ private:
+  template <typename Emit>
+  void Ship(std::vector<uint32_t>::iterator it, Emit&& emit) {
+    const uint32_t b = *it;
+    hit_.erase(it);
+    rows_ -= bucket_[b].rows();
+    emit(b, bucket_[b]);
+    bucket_[b].Clear();
+  }
+
+  std::vector<Batch> bucket_;
+  std::vector<uint32_t> hit_;  // buckets holding rows, in first-use order
+  size_t rows_ = 0;
+};
+
+/// Every slot's output buffers, one per (slot, consumer operator), alive
+/// for the whole run so data activations fill up across activations.
+class SlotBuffers {
+ public:
+  void Init(uint32_t slots, uint32_t ops) {
+    slots_ = slots;
+    ops_ = ops;
+    bufs_ = std::make_unique<BucketBuffer[]>(static_cast<size_t>(slots) * ops);
+  }
+  BucketBuffer& At(uint32_t slot, uint32_t op) {
+    return bufs_[static_cast<size_t>(slot) * ops_ + op];
+  }
+  /// The forced end flush of the operator feeding `op`: every slot's rows
+  /// for `op` go to emit. Pre: that producer has no activation in flight
+  /// (and the caller synchronizes with its last one).
+  template <typename Emit>
+  void FlushResidue(uint32_t op, Emit&& emit) {
+    for (uint32_t s = 0; s < slots_; ++s) At(s, op).FlushAll(emit);
+  }
+
+ private:
+  uint32_t slots_ = 0;
+  uint32_t ops_ = 0;
+  std::unique_ptr<BucketBuffer[]> bufs_;  // [slot * ops + op]
+};
+
+/// One activation's scratch: the bucket batches of a build scatter in
+/// progress, selection vector, hash and key columns, joined-row and agg
+/// buffers.
 struct Scratch {
-  std::vector<Batch> bucket;
-  std::vector<uint32_t> hit;  ///< buckets holding rows, in first-use order
+  BucketBuffer scatter;
   SelVec sel;
   std::vector<uint64_t> hashes;
   std::vector<int64_t> keys;
   std::vector<int64_t> row;
   AggTable::BatchScratch agg;
-
-  /// The batch collecting bucket `b` at `width`, registered as touched.
-  Batch& Bucket(uint32_t b, uint32_t width) {
-    Batch& batch = bucket[b];
-    if (batch.empty()) {
-      if (batch.width() != width) batch = Batch(width);
-      hit.push_back(b);
-    }
-    return batch;
-  }
-  /// Hands bucket `b` to emit(bucket, Batch&), which may move from it,
-  /// once it holds `flush_rows` rows.
-  template <typename Emit>
-  void FlushIfFull(uint32_t b, size_t flush_rows, Emit&& emit) {
-    if (bucket[b].rows() < flush_rows) return;
-    emit(b, bucket[b]);
-    bucket[b].Clear();
-    hit.erase(std::find(hit.begin(), hit.end(), b));
-  }
-  /// Hands every touched bucket to emit.
-  template <typename Emit>
-  void FlushAll(Emit&& emit) {
-    for (uint32_t b : hit) {
-      emit(b, bucket[b]);
-      bucket[b].Clear();
-    }
-    hit.clear();
-  }
 };
 
 /// Scratch per slot, pooled by re-entrancy depth: helping while stuck
 /// nests one activation inside another on the same slot.
 class ScratchPool {
  public:
+  /// Each scratch's scatter buffer is sized for `buckets`.
   void Init(uint32_t slots, uint32_t buckets);
 
   /// Holds one depth level of a slot's scratch while alive.
@@ -221,13 +332,14 @@ struct ScanSpec {
 
 /// Kernel: rows [begin, end) of a scan pass its predicates, are hashed on
 /// `key_col` (emitted coordinates), projected and appended to their
-/// bucket (hash mod buckets). on_row(row, width) sees each appended row;
-/// a bucket reaching `flush_rows`, and every touched bucket at the end,
-/// goes to emit(bucket, Batch&). Returns the rows that passed.
+/// bucket (hash mod buckets) of `out`, which ships to emit(bucket, Batch&)
+/// per `rule`; rows still held stay in `out`. on_row(row, width) sees
+/// each appended row. Returns the rows that passed.
 template <typename Emit, typename OnRow>
 size_t ScatterMorsel(const ScanSpec& scan, size_t begin, size_t end,
-                     uint32_t key_col, uint32_t buckets, size_t flush_rows,
-                     Scratch& sc, Emit&& emit, OnRow&& on_row) {
+                     uint32_t key_col, uint32_t buckets, BucketBuffer& out,
+                     const ShipRule& rule, Scratch& sc, Emit&& emit,
+                     OnRow&& on_row) {
   const Batch& src = *scan.src;
   const uint32_t out_w = scan.out_width();
   const uint32_t key = scan.proj != nullptr ? (*scan.proj)[key_col] : key_col;
@@ -240,19 +352,20 @@ size_t ScatterMorsel(const ScanSpec& scan, size_t begin, size_t end,
   sc.hashes.resize(m);
   HashStrided(src.data().data() + begin * src.width() + key, src.width(),
               selp, m, sc.hashes.data());
+  out.Resize(buckets);
   for (size_t i = 0; i < m; ++i) {
     const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
     const uint32_t b = static_cast<uint32_t>(sc.hashes[i] % buckets);
-    Batch& batch = sc.Bucket(b, out_w);
+    Batch& batch = out.Bucket(b, out_w);
     if (scan.proj != nullptr) {
       batch.AppendRowProjected(row, *scan.proj);
     } else {
       batch.AppendRow(row);
     }
     on_row(batch.row(batch.rows() - 1), out_w);
-    sc.FlushIfFull(b, flush_rows, emit);
+    out.Appended(b, rule, emit);
   }
-  sc.FlushAll(emit);
+  out.ShipOverCap(rule, emit);
   return m;
 }
 
@@ -292,21 +405,23 @@ uint64_t ProbeRows(const Batch& rows, uint32_t probe_col,
 
 /// ProbeRows for a probe with a successor: each joined row, after
 /// on_joined(row, width) sees it, is scattered by its `next_col` key into
-/// the next join's buckets and flushed through emit as in ScatterMorsel.
+/// the next join's buckets of `out` and shipped as in ScatterMorsel.
 template <typename Emit, typename OnJoined>
 uint64_t ProbeForward(const Batch& rows, uint32_t probe_col,
                       const RowTable& table, uint32_t next_col,
-                      uint32_t buckets, size_t flush_rows, Scratch& sc,
-                      Emit&& emit, OnJoined&& on_joined) {
+                      uint32_t buckets, BucketBuffer& out,
+                      const ShipRule& rule, Scratch& sc, Emit&& emit,
+                      OnJoined&& on_joined) {
+  out.Resize(buckets);
   const uint64_t produced = ProbeRows(
       rows, probe_col, table, sc, [&](const int64_t* row, uint32_t w) {
         on_joined(row, w);
         const uint32_t b =
             static_cast<uint32_t>(HashKey(row[next_col]) % buckets);
-        sc.Bucket(b, w).AppendRow(row);
-        sc.FlushIfFull(b, flush_rows, emit);
+        out.Bucket(b, w).AppendRow(row);
+        out.Appended(b, rule, emit);
       });
-  sc.FlushAll(emit);
+  out.ShipOverCap(rule, emit);
   return produced;
 }
 

@@ -292,9 +292,13 @@ struct PipelineExecutor::Shared {
   std::atomic<uint64_t> stat_idle{0};
   std::atomic<uint64_t> stat_fp_safety{0};
 
-  // Per-slot outbox (see FlushOutbox) and scatter scratch.
+  // Per-slot outbox (see FlushOutbox), output buffers (scan and probe
+  // rows bound for their consumer, across activations; flushed by
+  // OnOpEnded) and scratch.
   std::vector<Outbox> outbox;
+  SlotBuffers out;
   ScratchPool scratch;
+  size_t queue_rows = 0;  // QueueRowBound(queue_capacity)
 };
 
 
@@ -530,7 +534,9 @@ Result<ResultDigest> PipelineExecutor::Execute(
   }
   sh.busy.assign(slots, 0);
   sh.outbox.resize(slots);
+  sh.out.Init(slots, nops);
   sh.scratch.Init(slots, B);
+  sh.queue_rows = QueueRowBound(options_.queue_capacity);
   sh.slots = slots;
   sh.chain_rows.assign(plan.chains.size() * slots, 0);
   sh.spans.Init(options_.trace, slots, nops);
@@ -712,6 +718,18 @@ void PipelineExecutor::OnOpEnded(uint32_t op_id) {
   std::unique_lock<std::mutex> lock(sh.state_mu);
   OpState& op = *sh.ops[op_id];
   if (op.ended.load()) return;
+  // The forced end flush: what every slot (guest slots too) still buffers
+  // for our consumer ships now, past flow control, before anyone can see
+  // us ended. No slot is inside this op any more: its data_pending (or
+  // morsel count) reached zero after its last activation.
+  if (op.consumer != UINT32_MAX) {
+    OpState& consumer = *sh.ops[op.consumer];
+    sh.out.FlushResidue(op.consumer, [&](uint32_t bucket, Batch& rows) {
+      consumer.data_pending.fetch_add(1);
+      sh.stat_emitted.fetch_add(1, std::memory_order_relaxed);
+      sh.queues.Push({op.consumer, bucket, std::move(rows)});
+    });
+  }
   op.ended.store(true);
   sh.ops_remaining.fetch_sub(1);
 
@@ -969,20 +987,23 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
     sh.chain_rows[op.chain * sh.slots + self] += kept;
   } else {
     // A build scatters into its own buckets, a whole morsel per insert;
-    // a scan feeds the first probe in batch_rows batches, and its output
-    // is capture point 0.
+    // a scan feeds the first probe through this slot's buffered batches,
+    // and its output is capture point 0.
     const bool build = op.kind == COp::kBuild;
     const uint32_t dst = build ? op_id : op.consumer;
+    auto emit = [&](uint32_t bucket, Batch& rows) {
+      Emit(self, dst, bucket, std::move(rows));
+    };
+    BucketBuffer& out = build ? sc->scatter : sh.out.At(self, dst);
     kept = ScatterMorsel(
         scan, begin, end,
         build ? chain.joins[op.step].build_col : chain.joins[0].probe_col,
-        options_.buckets, build ? SIZE_MAX : options_.batch_rows, *sc,
-        [&](uint32_t bucket, Batch& rows) {
-          Emit(self, dst, bucket, std::move(rows));
-        },
-        [&](const int64_t* row, uint32_t w) {
+        options_.buckets, out,
+        build ? ShipRule{} : ShipRule::Buffered(options_.batch_rows), *sc,
+        emit, [&](const int64_t* row, uint32_t w) {
           if (!build) OfferCapture(options_.captures, op.chain, 0, row, w);
         });
+    if (build) out.FlushAll(emit);
   }
   if (scan.preds != nullptr) {
     sh.stat_filtered.fetch_add(end - begin - kept, std::memory_order_relaxed);
@@ -1025,7 +1046,8 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
     } else {
       rows_out = ProbeForward(
           act.rows, probe_col, table, chain.joins[op.step + 1].probe_col,
-          options_.buckets, options_.batch_rows, *sc,
+          options_.buckets, sh.out.At(self, op.consumer),
+          ShipRule::Buffered(options_.batch_rows), *sc,
           [&](uint32_t bucket, Batch& rows) {
             Emit(self, op.consumer, bucket, std::move(rows));
           },
@@ -1062,7 +1084,7 @@ void PipelineExecutor::Emit(uint32_t self, uint32_t dst_op, uint32_t bucket,
   sh.ops[dst_op]->data_pending.fetch_add(1);
   sh.stat_emitted.fetch_add(1, std::memory_order_relaxed);
   Activation act{dst_op, bucket, std::move(rows)};
-  if (!sh.queues.TryPush(act, options_.queue_capacity)) {
+  if (!sh.queues.TryPush(act, sh.queue_rows)) {
     sh.stat_escapes.fetch_add(1, std::memory_order_relaxed);
     sh.outbox[self].Push(std::move(act));
   }
@@ -1089,7 +1111,7 @@ void PipelineExecutor::FlushOutbox(uint32_t self) {
     // non-empty outbox (pending activations keep their op alive).
     if (sh.cancelled.load(std::memory_order_relaxed)) return;
     const bool progressed = outbox.Retry([&](Activation& act) {
-      return sh.queues.TryPush(act, options_.queue_capacity);
+      return sh.queues.TryPush(act, sh.queue_rows);
     });
     if (outbox.empty()) return;
     if (progressed) {
@@ -1269,7 +1291,6 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
         // Scatter each morsel into local per-bucket batches, then take
         // each bucket lock once per morsel (amortized locking).
         Scratch sc;
-        sc.bucket.resize(B);
         const uint64_t tr0 = trace != nullptr ? trace->NowNs() : 0;
         uint64_t acts = 0, rin = 0, rout = 0;
         while (!ctx->StopRequested()) {
@@ -1277,12 +1298,14 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
           if (begin >= rows) break;
           const size_t end = std::min<size_t>(begin + options_.morsel_rows,
                                               rows);
-          const size_t kept = ScatterMorsel(
-              scan, begin, end, js.build_col, B, SIZE_MAX, sc,
-              [&](uint32_t bucket, Batch& part) {
-                InsertBuild((*built)[bucket], bucket_mu[bucket], part);
-              },
-              [](const int64_t*, uint32_t) {});
+          auto insert = [&](uint32_t bucket, Batch& part) {
+            InsertBuild((*built)[bucket], bucket_mu[bucket], part);
+          };
+          const size_t kept =
+              ScatterMorsel(scan, begin, end, js.build_col, B, sc.scatter,
+                            ShipRule{}, sc, insert,
+                            [](const int64_t*, uint32_t) {});
+          sc.scatter.FlushAll(insert);
           if (scan.preds != nullptr) {
             filtered.fetch_add(end - begin - kept, std::memory_order_relaxed);
           }

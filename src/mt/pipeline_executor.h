@@ -67,8 +67,17 @@ struct PipelineOptions {
   uint32_t threads = 4;
   uint32_t buckets = 64;        ///< degree of fragmentation per join
   uint32_t morsel_rows = 16384; ///< trigger-activation granularity
-  uint32_t batch_rows = 1024;   ///< data-activation granularity
-  uint32_t queue_capacity = 256;///< flow control (activations per queue)
+  /// Data-activation granularity: each slot buffers scan and probe output
+  /// per (consumer, bucket) across activations and ships a bucket at
+  /// batch_rows rows; once an activation leaves more than
+  /// kResidencyBatches x batch_rows rows buffered for one consumer, the
+  /// fullest buckets ship; the rest ships when the producer ends. Builds
+  /// insert a whole morsel per bucket.
+  uint32_t batch_rows = 1024;
+  /// Flow control, in rows: a queue takes no push past
+  /// kQueueRowsPerCapacity x queue_capacity rows, except into an empty
+  /// queue; refused pushes wait in the slot's outbox.
+  uint32_t queue_capacity = 256;
   LocalStrategy strategy = LocalStrategy::kDP;
   bool apply_h1 = true;         ///< chain scan waits for its hash tables
   bool apply_h2 = true;         ///< chains execute one at a time

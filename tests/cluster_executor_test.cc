@@ -109,6 +109,26 @@ TEST(Partitioning, ValidateRejectsBadColumns) {
 
 // ------------------------------------------------------- correctness -----
 
+// Output rows wait in their worker's buffers across activations; with
+// 300 fact rows over 64 buckets nothing fills, so every row crosses
+// between operators (and nodes) through the node loop's forced end
+// flush, global load balancing on or off.
+TEST(Cluster, InputTooSmallToFillABucketMatchesReference) {
+  ChainFixture fx(2, 3, 300, 200);
+  auto ref = ReferenceExecute(fx.query).ValueOrDie();
+  ASSERT_EQ(ref.count, 300u);
+  for (bool lb : {true, false}) {
+    ClusterOptions o = Opts(2, 2);
+    o.global_lb = lb;
+    ClusterExecutor exec(o);
+    ClusterStats stats;
+    auto got = exec.Execute(fx.query, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), ref) << "global_lb " << lb;
+    EXPECT_GT(stats.dataflow_bytes, 0u);
+  }
+}
+
 TEST(Cluster, SingleNodeMatchesReference) {
   ChainFixture fx(1, 2, 8000, 300);
   auto ref = ReferenceExecute(fx.query).ValueOrDie();

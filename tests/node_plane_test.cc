@@ -1,6 +1,7 @@
 // Unit tests for the node data plane shared by the threads and cluster
-// executors: FP thread apportionment, the outbox retry pass, the scratch
-// pool's nesting, and the scatter and probe kernels.
+// executors: FP thread apportionment, the outbox retry pass, row-counted
+// queues, the scratch pool's nesting, the output buffers' ship rules, and
+// the scatter and probe kernels.
 
 #include "mt/node_plane.h"
 
@@ -116,7 +117,7 @@ TEST(ScratchPool, NestedLeasesGetDistinctScratch) {
   {
     ScratchPool::Lease a(pool, 0);
     outer = &*a;
-    EXPECT_EQ(a->bucket.size(), 8u);
+    EXPECT_EQ(a->scatter.buckets(), 8u);
     ScratchPool::Lease b(pool, 0);
     EXPECT_NE(&*b, outer);
   }
@@ -142,13 +143,12 @@ TEST(ScatterMorsel, FiltersProjectsAndBucketsRows) {
 
   const uint32_t B = 4;
   Scratch sc;
-  sc.bucket.resize(B);
+  BucketBuffer out;
   std::map<uint32_t, std::vector<int64_t>> emitted;  // bucket -> keys
   size_t batches = 0, seen = 0;
-  // Rows [10, 90): 40 pass (keys 50..89); flush at 4 rows per batch.
-  const size_t kept = ScatterMorsel(
-      spec, 10, 90, /*key_col=*/1, B, /*flush_rows=*/4, sc,
-      [&](uint32_t bucket, Batch& rows) {
+  // Rows [10, 90): 40 pass (keys 50..89); flush at 4 rows per batch, the
+  // rest at the end.
+  auto emit = [&](uint32_t bucket, Batch& rows) {
         ++batches;
         EXPECT_EQ(rows.width(), 2u);
         EXPECT_LE(rows.rows(), 4u);
@@ -158,12 +158,15 @@ TEST(ScatterMorsel, FiltersProjectsAndBucketsRows) {
           EXPECT_EQ(HashKey(key) % B, bucket);
           emitted[bucket].push_back(key);
         }
-      },
+      };
+  const size_t kept = ScatterMorsel(
+      spec, 10, 90, /*key_col=*/1, B, out, ShipRule{4, SIZE_MAX}, sc, emit,
       [&](const int64_t* row, uint32_t width) {
         EXPECT_EQ(width, 2u);
         EXPECT_EQ(row[0], 1000 + row[1]);
         ++seen;
       });
+  out.FlushAll(emit);
   EXPECT_EQ(kept, 40u);
   EXPECT_EQ(seen, 40u);
   std::vector<int64_t> keys;
@@ -175,8 +178,8 @@ TEST(ScatterMorsel, FiltersProjectsAndBucketsRows) {
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(keys[i], static_cast<int64_t>(50 + i));
   }
-  EXPECT_GE(batches, 10u);    // 40 rows, at most 4 per batch
-  EXPECT_TRUE(sc.hit.empty());  // every bucket flushed
+  EXPECT_GE(batches, 10u);     // 40 rows, at most 4 per batch
+  EXPECT_EQ(out.rows(), 0u);  // every bucket flushed
 }
 
 TEST(ProbeKernels, JoinTerminalAndForward) {
@@ -193,7 +196,6 @@ TEST(ProbeKernels, JoinTerminalAndForward) {
     probe.AppendRow(row);
   }
   Scratch sc;
-  sc.bucket.resize(4);
   ResultDigest digest;
   Batch keep(4);
   const TerminalSink sink{nullptr, &digest, &keep};
@@ -206,18 +208,141 @@ TEST(ProbeKernels, JoinTerminalAndForward) {
   }
   // Forward on the build's payload column (joined column 3).
   size_t forwarded = 0;
-  EXPECT_EQ(ProbeForward(
-                probe, 1, table, /*next_col=*/3, /*buckets=*/4,
-                /*flush_rows=*/2, sc,
-                [&](uint32_t bucket, Batch& rows) {
-                  for (size_t i = 0; i < rows.rows(); ++i) {
-                    EXPECT_EQ(HashKey(rows.at(i, 3)) % 4, bucket);
-                  }
-                  forwarded += rows.rows();
-                },
-                [](const int64_t*, uint32_t) {}),
+  BucketBuffer out;
+  auto emit = [&](uint32_t bucket, Batch& rows) {
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      EXPECT_EQ(HashKey(rows.at(i, 3)) % 4, bucket);
+    }
+    forwarded += rows.rows();
+  };
+  EXPECT_EQ(ProbeForward(probe, 1, table, /*next_col=*/3, /*buckets=*/4,
+                         out, ShipRule{2, SIZE_MAX}, sc, emit,
+                         [](const int64_t*, uint32_t) {}),
             10u);
+  EXPECT_EQ(forwarded + out.rows(), 10u);
+  out.FlushAll(emit);
   EXPECT_EQ(forwarded, 10u);
+}
+
+// One-column rows with keys [lo, hi), to drive a buffer through the
+// scatter kernel.
+Batch Keys(int64_t lo, int64_t hi) {
+  Batch b(1);
+  for (int64_t k = lo; k < hi; ++k) b.AppendRow(&k);
+  return b;
+}
+
+TEST(BucketBuffer, SurvivesAcrossKernelCallsAndShipsAtBatchRows) {
+  // One bucket, so every row lands in it: 3 rows per call, batch_rows 5.
+  const ShipRule rule = ShipRule::Buffered(5);
+  BucketBuffer out;
+  Scratch sc;
+  std::vector<size_t> shipped;
+  auto emit = [&](uint32_t, Batch& rows) { shipped.push_back(rows.rows()); };
+  auto none = [](const int64_t*, uint32_t) {};
+  const Batch a = Keys(0, 3), b = Keys(3, 6), c = Keys(6, 9);
+  ScatterMorsel(ScanSpec{&a}, 0, 3, 0, 1, out, rule, sc, emit, none);
+  EXPECT_TRUE(shipped.empty());  // a one-call fragment stays buffered
+  EXPECT_EQ(out.rows(), 3u);
+  ScatterMorsel(ScanSpec{&b}, 0, 3, 0, 1, out, rule, sc, emit, none);
+  // The second call's 2nd row filled the bucket to 5: it shipped whole.
+  EXPECT_EQ(shipped, (std::vector<size_t>{5}));
+  EXPECT_EQ(out.rows(), 1u);
+  ScatterMorsel(ScanSpec{&c}, 0, 3, 0, 1, out, rule, sc, emit, none);
+  EXPECT_EQ(shipped, (std::vector<size_t>{5}));
+  EXPECT_EQ(out.rows(), 4u);
+}
+
+TEST(BucketBuffer, ResidencyCapShipsTheFullestBucketsAtActivationEnd) {
+  // 64 buckets never reach batch_rows 1000, so only the cap of
+  // kResidencyBatches * 100 rows ships anything, and only once a kernel
+  // call ends above it: then the fullest buckets go until it is under.
+  const ShipRule rule{1000, kResidencyBatches * 100};
+  const uint32_t B = 64;
+  BucketBuffer out;
+  Scratch sc;
+  std::map<uint32_t, size_t> held;  // bucket -> rows, mirrored
+  std::vector<size_t> shipped;
+  auto emit = [&](uint32_t bucket, Batch& rows) {
+    EXPECT_EQ(rows.rows(), held[bucket]);
+    // Fullest first: nothing still held is larger.
+    for (const auto& [b, n] : held) EXPECT_LE(n, rows.rows()) << b;
+    shipped.push_back(rows.rows());
+    held.erase(bucket);
+  };
+  auto run = [&](int64_t lo, int64_t hi) {
+    const Batch src = Keys(lo, hi);
+    ScatterMorsel(ScanSpec{&src}, 0, src.rows(), 0, B, out, rule, sc, emit,
+                  [&](const int64_t* row, uint32_t) {
+                    ++held[static_cast<uint32_t>(HashKey(row[0]) % B)];
+                  });
+  };
+  run(0, static_cast<int64_t>(rule.cap_rows));
+  EXPECT_TRUE(shipped.empty());  // at the cap, not past it
+  EXPECT_EQ(out.rows(), rule.cap_rows);
+  run(1000000, 1000001);  // one row past it: the fullest bucket ships
+  ASSERT_EQ(shipped.size(), 1u);
+  EXPECT_EQ(out.rows(), rule.cap_rows + 1 - shipped[0]);
+  // An activation far past the cap ships as many as it takes.
+  run(2000000, 2000000 + 3 * static_cast<int64_t>(rule.cap_rows));
+  EXPECT_GT(shipped.size(), 2u);
+  EXPECT_LE(out.rows(), rule.cap_rows);
+  size_t still = 0;
+  for (const auto& [b, n] : held) still += n;
+  EXPECT_EQ(still, out.rows());
+}
+
+TEST(SlotBuffers, ForcedResidueFlushEmptiesEverySlot) {
+  // Three slots buffer rows for consumer op 1; op 0's buffers are
+  // another consumer's and stay put.
+  SlotBuffers bufs;
+  bufs.Init(/*slots=*/3, /*ops=*/2);
+  const ShipRule rule = ShipRule::Buffered(1000);
+  Scratch sc;
+  auto never = [](uint32_t, Batch&) { ADD_FAILURE() << "shipped early"; };
+  const Batch src = Keys(0, 40);
+  for (uint32_t s = 0; s < 3; ++s) {
+    ScatterMorsel(ScanSpec{&src}, 0, 10 * (s + 1), 0, 8, bufs.At(s, 1), rule,
+                  sc, never, [](const int64_t*, uint32_t) {});
+  }
+  ScatterMorsel(ScanSpec{&src}, 0, 5, 0, 8, bufs.At(0, 0), rule, sc, never,
+                [](const int64_t*, uint32_t) {});
+  size_t rows = 0;
+  bufs.FlushResidue(1, [&](uint32_t bucket, Batch& b) {
+    EXPECT_LT(bucket, 8u);
+    rows += b.rows();
+  });
+  EXPECT_EQ(rows, 10u + 20u + 30u);
+  for (uint32_t s = 0; s < 3; ++s) EXPECT_EQ(bufs.At(s, 1).rows(), 0u);
+  EXPECT_EQ(bufs.At(0, 0).rows(), 5u);
+}
+
+Activation Rows(uint32_t bucket, int64_t n) {
+  Activation a;
+  a.bucket = bucket;
+  a.rows = Keys(0, n);
+  return a;
+}
+
+TEST(ActivationQueues, BoundCountsRowsButAnEmptyQueueTakesAnyPush) {
+  ActivationQueues queues;
+  queues.Init(/*ops=*/1, /*threads=*/1);
+  Activation big = Rows(0, 50);
+  EXPECT_TRUE(queues.TryPush(big, /*max_rows=*/10));  // empty: accepted
+  Activation one = Rows(1, 1);
+  EXPECT_FALSE(queues.TryPush(one, 10));  // 51 rows > 10: refused
+  EXPECT_EQ(one.rows.rows(), 1u);         // and not moved from
+  Activation out;
+  ASSERT_TRUE(queues.TryPopFront(0, 0, &out));
+  EXPECT_EQ(out.rows.rows(), 50u);
+  // Within the bound, pushes stack up until the next would pass it.
+  Activation a = Rows(0, 4), b = Rows(1, 6), c = Rows(2, 1);
+  EXPECT_TRUE(queues.TryPush(a, 10));
+  EXPECT_TRUE(queues.TryPush(b, 10));   // 10 rows: at the bound
+  EXPECT_FALSE(queues.TryPush(c, 10));  // 11: past it
+  queues.Push(std::move(c));            // the forced flush ignores it
+  EXPECT_EQ(queues.Depth(0), 3u);
+  EXPECT_EQ(QueueRowBound(2), 2 * kQueueRowsPerCapacity);
 }
 
 }  // namespace

@@ -313,18 +313,30 @@ TEST(ObsTrace, CancelledExecutionStillDrainsSpans) {
   obs::TraceSink sink;
   std::atomic<bool> stop{false};
   ThreadSpawnContext ctx(&stop);
+  // Cancel on first progress, not on a timer: the scan's first output row
+  // reaches the capture at point 0 inside a scan morsel, and that morsel
+  // runs to its end and folds into its span cell whenever the stop is
+  // seen — so at least one cell exists however loaded the host is.
+  obs::RowCapture first_row(1);
   mt::PipelineOptions po;
   po.threads = 2;
   po.morsel_rows = 512;  // many activations => cancel lands mid-run
   po.ctx = &ctx;
   po.trace = &sink;
+  po.captures = {{0, 0, &first_row}};
   mt::PipelineExecutor executor(po);
+  std::atomic<bool> returned{false};
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    while (first_row.offered() == 0 &&
+           !returned.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     stop.store(true, std::memory_order_release);
   });
   auto got = executor.Execute(plan, tables);
+  returned.store(true, std::memory_order_release);
   canceller.join();
+  EXPECT_GT(first_row.offered(), 0u);
   // Whether the cancel won the race or the query finished first, the
   // sink holds whatever ran, monotonic and well-formed.
   std::vector<obs::TraceEvent> events = sink.Drain();

@@ -269,7 +269,7 @@ struct SchedFixture {
   Session db;
   RelId fact, d1, d2, d3;
 
-  explicit SchedFixture(const SessionOptions& so, size_t fact_rows = 150000,
+  explicit SchedFixture(const SessionOptions& so, size_t fact_rows = 2500000,
                         uint64_t seed = 7)
       : db(so) {
     fact = db.AddTable(mt::MakeTable("fact", fact_rows, 4, 500, seed));
@@ -305,7 +305,10 @@ bool WaitForInFlight(const Session& db, uint32_t n, int timeout_ms = 20000) {
 }
 
 // An uncontended dispatch happens within microseconds of Submit, and the
-// 150k x 3-probe chain runs for >100 ms — a deadline in between reliably
+// 2.5M x 3-probe chain runs for 270-290 ms on the threads backend at 1x2
+// (the 600k chain on the cluster at 2x2 for 197-234 ms; both measured
+// on an idle 4-core host, RelWithDebInfo, after a first run) — at least
+// 4x the 25 ms and 40 ms deadlines below, so a deadline in between reliably
 // fires mid-execution, stops the executor cooperatively, and surfaces
 // DeadlineExceeded with partial progress counters.
 void ExpectMidExecutionMiss(Session& db, const Query& q, ExecOptions opts) {
@@ -339,7 +342,7 @@ TEST(SchedDeadline, MissesMidExecutionOnThreads) {
 }
 
 TEST(SchedDeadline, MissesMidExecutionOnCluster) {
-  SchedFixture fx{SessionOptions{}, 60000};
+  SchedFixture fx{SessionOptions{}, 600000};
   ExpectMidExecutionMiss(fx.db, fx.ChainQuery(3),
                          Opts(Backend::kCluster, 2, 2));
 }
@@ -364,7 +367,7 @@ TEST(SchedDeadline, ExpiresWhileQueuedWithoutDispatch) {
   QueryHandle blocker = fx.db.Submit(fx.ChainQuery(3), opts);
   ASSERT_TRUE(WaitForInFlight(fx.db, 1));
   ExecOptions dead = opts;
-  dead.deadline_ms = 40.0;  // far below the blocker's >100 ms runtime
+  dead.deadline_ms = 40.0;  // far below the blocker's ~280 ms runtime
   auto r = fx.db.Submit(fx.ChainQuery(1), dead).Take();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
